@@ -15,10 +15,9 @@ shared :class:`FleetBackend` surface):
   ``multiprocessing.shared_memory`` block (multi-core scaling with
   checkpointed crash recovery; remember to ``close()`` it);
 * ``"native"`` — :class:`NativeFleetBackend`, the whole lock-step
-  program fused into one compiled pass per chunk of steps (numba JIT
-  via the ``repro[native]`` extra, or a runtime-compiled C kernel);
-  raises :class:`NativeBackendUnavailableError` when no compiled tier
-  exists (see :func:`fleet_backend_availability`).
+  program fused into one C kernel pass per chunk of steps, compiled at
+  first use; raises :class:`NativeBackendUnavailableError` when no C
+  compiler exists (see :func:`fleet_backend_availability`).
 
 All are bit-identical per lane to a scalar
 :class:`~repro.core.functional.FunctionalSimulator` with the same salt.
@@ -42,7 +41,6 @@ from .native import (
     NativeBackendUnavailableError,
     NativeFleetBackend,
     native_available,
-    native_kernel_tiers,
 )
 from .scalar import ScalarFleetBackend
 from .sharded import ShardedFleetBackend
@@ -62,7 +60,6 @@ __all__ = [
     "fleet_backends",
     "make_fleet_backend",
     "native_available",
-    "native_kernel_tiers",
     "normalize_fleet",
     "resolve_fleet_backend",
 ]

@@ -32,7 +32,6 @@ normalisation/validation, the :class:`BatchStats` counters, the
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -59,16 +58,6 @@ class BatchStats(RunStatsContract):
     def samples(self) -> int:
         """Total updates retired across the fleet (the shared contract)."""
         return self.agents * self.samples_per_agent
-
-    @property
-    def total_samples(self) -> int:
-        """Deprecated spelling of :attr:`samples`."""
-        warnings.warn(
-            "BatchStats.total_samples is deprecated; use BatchStats.samples",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.samples
 
 
 #: Alias under the fleet vocabulary; ``BatchStats`` stays the canonical
@@ -242,8 +231,7 @@ def fleet_backend_availability() -> dict[str, dict]:
     """Per-backend availability report, ``name -> {available, detail}``.
 
     The pure-Python/numpy backends are always available; ``"native"``
-    needs a compiled kernel tier (numba via the ``repro[native]`` extra,
-    or a system C compiler).
+    needs a system C compiler to build its fused kernel.
     """
     from .native import native_available
 
@@ -280,8 +268,8 @@ def make_fleet_backend(
     """Construct a fleet backend by name (the functional entry point).
 
     Extra keyword arguments forward to the chosen backend's constructor
-    — e.g. ``num_workers=`` for ``"sharded"``, ``kernel=`` for
-    ``"native"`` — matching the batch facade and ``make_engine``.
+    — e.g. ``num_workers=`` for ``"sharded"`` — matching the batch
+    facade and ``make_engine``.
     """
     cls = resolve_fleet_backend(backend)
     return cls(

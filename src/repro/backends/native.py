@@ -22,23 +22,11 @@ hardware traversal:
   without a compiled lowering are rejected with a typed
   :class:`~repro.algorithms.UnsupportedRuleError` at construction.
 
-Three kernel tiers share a single implementation:
-
-``numba``
-    :func:`numba.njit` ``(parallel=True, cache=True)`` over the lane
-    axis (requires the ``repro[native]`` extra).
-``cc``
-    The same program as static C, compiled at import-to-use time with
-    the system compiler (``cc``/``gcc``/``clang``) into a cached shared
-    object and called through :mod:`ctypes` — no third-party packages.
-``python``
-    The shared implementation interpreted directly (bit-identical,
-    slow; selected only explicitly — it exists so the contract suite
-    can prove all tiers agree without a compiler).
-
-Importing this module never requires numba; tier resolution happens at
-backend construction (``kernel="auto"`` prefers numba, then cc, then
-raises :class:`NativeBackendUnavailableError`).
+The kernel is one C source, compiled on first use with the system
+compiler (``$CC``, else ``cc``/``gcc``/``clang``) into a source-hash-cached
+shared object and called through :mod:`ctypes` — no third-party packages.
+Without a compiler, construction raises :class:`NativeBackendUnavailableError`;
+the vectorized backend runs the same program everywhere.
 
 Everything else — storage layout, checkpointing, the serve-facing
 ``reset_lane``/``apply_transition``/``query_action`` lane ops, lane
@@ -51,7 +39,6 @@ bit-identical.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import os
 import shutil
 import subprocess
@@ -67,17 +54,6 @@ from .vectorized import VectorizedFleetBackend
 
 _I64 = np.int64
 
-#: Tier resolution order of ``kernel="auto"`` (``python`` is excluded —
-#: it is a correctness oracle, not a performance tier).
-AUTO_TIERS = ("numba", "cc")
-
-#: Recognised ``kernel=`` spellings.
-KERNEL_TIERS = ("numba", "cc", "python")
-
-#: Environment override consulted when the constructor gets no explicit
-#: ``kernel=`` (``make_engine``/``make_fleet_backend`` don't forward one).
-KERNEL_ENV_VAR = "QTACCEL_NATIVE_KERNEL"
-
 #: Qmax-rule dispatch tags inside the fused kernel.
 _QMAX_MODES = {"exact": 0, "monotonic": 1, "follow": 2}
 
@@ -87,17 +63,17 @@ _KERNEL_ID_KINDS = {0: ("plain",), 1: ("momentum",), 2: ("target",)}
 
 
 class NativeBackendUnavailableError(ImportError):
-    """No native kernel tier is available on this host.
+    """No C compiler is available to build the fused kernel.
 
     Raised by :class:`NativeFleetBackend` (and therefore by
     ``make_engine(engine="native")`` and
     ``make_fleet_backend(backend="native")``) instead of a bare
-    :class:`ImportError`, naming the install extra that fixes it.
+    :class:`ImportError`.
     """
 
 
 def _find_compiler() -> str | None:
-    """The C compiler of the ``cc`` tier, or None."""
+    """The C compiler that builds the kernel, or None."""
     cc = os.environ.get("CC")
     if cc and shutil.which(cc):
         return cc
@@ -108,282 +84,29 @@ def _find_compiler() -> str | None:
     return None
 
 
-def native_kernel_tiers() -> dict[str, bool]:
-    """Availability of each kernel tier on this host (no imports run)."""
-    return {
-        "numba": importlib.util.find_spec("numba") is not None,
-        "cc": _find_compiler() is not None,
-        "python": True,
-    }
+_NO_COMPILER = (
+    "no C compiler (cc/gcc/clang, or $CC) was found to build the fused "
+    "kernel; the vectorized backend runs the same program without one"
+)
 
 
 def native_available() -> tuple[bool, str]:
-    """Whether ``kernel="auto"`` would resolve, with a human detail."""
-    tiers = native_kernel_tiers()
-    for tier in AUTO_TIERS:
-        if tiers[tier]:
-            return True, f"kernel tier {tier!r}"
-    return False, (
-        "no compiled kernel tier: numba is not installed (pip install "
-        "'repro[native]') and no C compiler (cc/gcc/clang) was found"
-    )
+    """Whether the fused kernel can be built here, with a human detail."""
+    compiler = _find_compiler()
+    if compiler is None:
+        return False, _NO_COMPILER
+    return True, f"C compiler {compiler}"
 
 
 # ---------------------------------------------------------------------- #
-# The fused kernel (shared implementation)
-#
-# One function body serves the numba and python tiers: ``prange`` below
-# is a module global bound to ``range`` and swapped for ``numba.prange``
-# immediately before JIT compilation (numba resolves globals at compile
-# time; ``numba.prange`` degrades to ``range`` under plain
-# interpretation, so the python tier is unaffected by the swap).
-# ---------------------------------------------------------------------- #
-
-prange = range
-
-
-def _fleet_steps_impl(
-    n_steps, K, S, A, n_starts,
-    q, qmax, qmax_action, momentum, target, target_count,
-    arch_state, forwarded, prev_pair, prev_state, prev_q,
-    prev_qmax, prev_qmax_action,
-    s_start, s_action, s_policy, leap, dec, dec_mask,
-    nxt, rew, term, starts, het,
-    egreedy_cut, behavior_random, update_greedy, on_policy,
-    rule_kind, qmax_mode,
-    one_minus_alpha, alpha, alpha_gamma, beta, tau, one_minus_tau,
-    shift, nearest, saturate, raw_min, raw_max, span, signed_fmt,
-    sync_period, counts,
-):
-    """Advance every lane ``n_steps`` lock-step samples, fused.
-
-    Bit-identical per lane to ``n_steps`` calls of
-    :meth:`VectorizedFleetBackend.step` (asserted by the test suite).
-    All arrays are flat ``int64``; all scalars integers.  ``counts``
-    receives ``(exploits, explores, episodes)`` deltas.
-    """
-    SA = S * A
-    a_pow2 = (A & (A - 1)) == 0
-    st_pow2 = (n_starts & (n_starts - 1)) == 0
-    ex_total = 0
-    er_total = 0
-    ep_total = 0
-    for k in prange(K):
-        sa_base = k * SA
-        s_base = k * S
-        if het:
-            e_sa = k * SA
-            e_s = k * S
-            e_start = k * n_starts
-        else:
-            e_sa = 0
-            e_s = 0
-            e_start = 0
-        st = arch_state[k]
-        fw = forwarded[k]
-        ss = s_start[k]
-        sa_rng = s_action[k]
-        sp = s_policy[k]
-        p_state = prev_state[k]
-        p_qa = prev_qmax_action[k]
-        tc = target_count[k] if rule_kind == 2 else 0
-        p_pair = prev_pair[k]
-        p_q = prev_q[k]
-        p_qm = prev_qmax[k]
-        for _ in range(n_steps):
-            # ---- stage 1: state + behaviour action ---- #
-            restart = st < 0
-            if restart:
-                ss = (ss >> dec) ^ leap[ss & dec_mask]
-                idx = (ss & (n_starts - 1)) if st_pow2 else (ss % n_starts)
-                state = starts[e_start + idx]
-            else:
-                state = st
-            if behavior_random:
-                sa_rng = (sa_rng >> dec) ^ leap[sa_rng & dec_mask]
-                action = (sa_rng & (A - 1)) if a_pow2 else (sa_rng % A)
-            else:
-                # SARSA: forwarded action, except at restarts where a
-                # fresh e-greedy draw reads the *lagged* table view.
-                if restart:
-                    sp = (sp >> dec) ^ leap[sp & dec_mask]
-                    if sp < egreedy_cut:
-                        if state == p_state:
-                            action = p_qa
-                        else:
-                            action = qmax_action[s_base + state]
-                    else:
-                        action = (sp & (A - 1)) if a_pow2 else (sp % A)
-                else:
-                    action = fw
-
-            # ---- environment tables ---- #
-            pair = state * A + action
-            s_next = nxt[e_sa + pair]
-            r = rew[e_sa + pair]
-            terminal = term[e_s + s_next] != 0
-            isa = sa_base + pair
-            q_sa = q[isa]
-
-            # ---- stage 2: update policy ---- #
-            ins = s_base + s_next
-            if update_greedy:
-                a_next = qmax_action[ins]
-                if rule_kind == 2:
-                    # Select online, evaluate target.
-                    q_next = target[sa_base + s_next * A + a_next]
-                else:
-                    q_next = qmax[ins]
-                ex_total += 1
-            else:
-                sp = (sp >> dec) ^ leap[sp & dec_mask]
-                if sp < egreedy_cut:
-                    a_next = qmax_action[ins]
-                    q_next = qmax[ins]
-                    ex_total += 1
-                else:
-                    a_next = (sp & (A - 1)) if a_pow2 else (sp % A)
-                    q_next = q[sa_base + s_next * A + a_next]
-                    er_total += 1
-            if terminal:
-                q_next = 0
-
-            # ---- stage 3: wide accumulate, one round, one clamp ---- #
-            acc = one_minus_alpha * q_sa + alpha * r + alpha_gamma * q_next
-            if rule_kind == 1:
-                acc += beta * (q_sa - momentum[isa])
-            if shift == 0:
-                q_new = acc
-            elif nearest:
-                half = 1 << (shift - 1)
-                if acc >= 0:
-                    q_new = (acc + half) >> shift
-                else:
-                    q_new = -((-acc + half) >> shift)
-            else:
-                q_new = acc >> shift
-            if saturate:
-                if q_new < raw_min:
-                    q_new = raw_min
-                elif q_new > raw_max:
-                    q_new = raw_max
-            else:
-                q_new = q_new & (span - 1)
-                if signed_fmt and q_new > raw_max:
-                    q_new = q_new - span
-
-            # ---- stage 4: write-back + Qmax rule ---- #
-            ist = s_base + state
-            cur_val = qmax[ist]
-            cur_act = qmax_action[ist]
-            q[isa] = q_new
-            if qmax_mode == 0:  # exact: first-max row scan
-                row = sa_base + state * A
-                best = 0
-                best_val = q[row]
-                for a in range(1, A):
-                    v = q[row + a]
-                    if v > best_val:
-                        best_val = v
-                        best = a
-                qmax[ist] = best_val
-                qmax_action[ist] = best
-            else:
-                upd = q_new > cur_val
-                if qmax_mode == 2 and action == cur_act:
-                    upd = True
-                if upd:
-                    qmax[ist] = q_new
-                    qmax_action[ist] = action
-
-            if rule_kind == 1:
-                # Momentum: the pre-update Q(s, a) becomes the iterate.
-                momentum[isa] = q_sa
-            elif rule_kind == 2:
-                # Lazy Polyak read-modify-write on the written pair.
-                acc2 = one_minus_tau * target[isa] + tau * q_new
-                if shift == 0:
-                    t_new = acc2
-                elif nearest:
-                    half = 1 << (shift - 1)
-                    if acc2 >= 0:
-                        t_new = (acc2 + half) >> shift
-                    else:
-                        t_new = -((-acc2 + half) >> shift)
-                else:
-                    t_new = acc2 >> shift
-                if saturate:
-                    if t_new < raw_min:
-                        t_new = raw_min
-                    elif t_new > raw_max:
-                        t_new = raw_max
-                else:
-                    t_new = t_new & (span - 1)
-                    if signed_fmt and t_new > raw_max:
-                        t_new = t_new - span
-                target[isa] = t_new
-                tc += 1
-                if sync_period > 0 and tc >= sync_period:
-                    for i in range(SA):
-                        target[sa_base + i] = q[sa_base + i]
-                    tc = 0
-
-            # ---- lag latches + episode bookkeeping ---- #
-            p_pair = pair
-            p_state = state
-            p_q = q_sa
-            p_qm = cur_val
-            p_qa = cur_act
-            if terminal:
-                ep_total += 1
-                st = -1
-                if on_policy:
-                    fw = -1
-            else:
-                st = s_next
-                if on_policy:
-                    fw = a_next
-
-        arch_state[k] = st
-        forwarded[k] = fw
-        s_start[k] = ss
-        s_action[k] = sa_rng
-        s_policy[k] = sp
-        prev_pair[k] = p_pair
-        prev_state[k] = p_state
-        prev_q[k] = p_q
-        prev_qmax[k] = p_qm
-        prev_qmax_action[k] = p_qa
-        if rule_kind == 2:
-            target_count[k] = tc
-    counts[0] += ex_total
-    counts[1] += er_total
-    counts[2] += ep_total
-
-
-_NUMBA_KERNEL = None
-
-
-def _get_numba_kernel():
-    """JIT-compile the shared implementation with numba (cached)."""
-    global _NUMBA_KERNEL, prange
-    if _NUMBA_KERNEL is None:
-        import numba
-
-        prange = numba.prange
-        _NUMBA_KERNEL = numba.njit(parallel=True, cache=True)(_fleet_steps_impl)
-    return _NUMBA_KERNEL
-
-
-# ---------------------------------------------------------------------- #
-# cc tier: the same program as static C, compiled once per source hash
+# The fused kernel, compiled once per source hash
 # ---------------------------------------------------------------------- #
 
 _C_SOURCE = r"""
-/* qtaccel fused fleet kernel -- generated-by-hand C mirror of
- * repro.backends.native._fleet_steps_impl.  Bit-identity with the
- * Python/numba tiers is asserted by the test suite; arithmetic right
- * shift on negative int64_t (gcc/clang behaviour) is assumed. */
+/* qtaccel fused fleet kernel -- the one executable definition of the
+ * fused lock-step program.  Bit-identity with the vectorized numpy
+ * program is asserted by the test suite; arithmetic right shift on
+ * negative int64_t (gcc/clang behaviour) is assumed. */
 #include <stdint.h>
 
 void qtaccel_fleet_steps(
@@ -596,14 +319,11 @@ void qtaccel_fleet_steps(
 }
 """
 
-_CC_KERNEL = None
+_KERNEL = None
 
 
-def _cc_build_library() -> str:
+def _build_library(compiler: str) -> str:
     """Compile the C kernel into a source-hash-cached shared object."""
-    compiler = _find_compiler()
-    if compiler is None:  # pragma: no cover - guarded by tier resolution
-        raise NativeBackendUnavailableError("no C compiler found for the cc tier")
     digest = hashlib.sha1(_C_SOURCE.encode()).hexdigest()[:16]
     cache_dir = os.path.join(
         tempfile.gettempdir(), f"qtaccel-native-{os.getuid()}"
@@ -624,19 +344,24 @@ def _cc_build_library() -> str:
             )
         except subprocess.CalledProcessError as exc:
             raise NativeBackendUnavailableError(
-                f"cc tier compile failed with {compiler}:\n{exc.stderr}"
+                f"fused kernel compile failed with {compiler}:\n{exc.stderr}"
             ) from exc
         os.replace(tmp_path, lib_path)  # atomic vs concurrent builders
     return lib_path
 
 
-def _get_cc_kernel():
-    """The C kernel as a Python callable taking the impl's arguments."""
-    global _CC_KERNEL
-    if _CC_KERNEL is None:
+def _get_kernel():
+    """The C kernel as a Python callable (built and loaded once per
+    process); raises :class:`NativeBackendUnavailableError` without a
+    C compiler."""
+    global _KERNEL
+    compiler = _find_compiler()
+    if compiler is None:
+        raise NativeBackendUnavailableError(f"NativeFleetBackend: {_NO_COMPILER}")
+    if _KERNEL is None:
         import ctypes
 
-        lib = ctypes.CDLL(_cc_build_library())
+        lib = ctypes.CDLL(_build_library(compiler))
         fn = lib.qtaccel_fleet_steps
         fn.restype = None
         i64p = ctypes.POINTER(ctypes.c_int64)
@@ -649,43 +374,8 @@ def _get_cc_kernel():
                 for a in args
             ])
 
-        _CC_KERNEL = call
-    return _CC_KERNEL
-
-
-def _resolve_kernel(kernel: str):
-    """Resolve a tier request into ``(tier_name, callable)``."""
-    tiers = native_kernel_tiers()
-    if kernel == "auto":
-        for tier in AUTO_TIERS:
-            if tiers[tier]:
-                kernel = tier
-                break
-        else:
-            ok, detail = native_available()
-            assert not ok
-            raise NativeBackendUnavailableError(
-                f"NativeFleetBackend: {detail}; the pure-Python oracle is "
-                f"available explicitly via kernel='python' (or "
-                f"{KERNEL_ENV_VAR}=python) but is slower than the "
-                f"vectorized backend"
-            )
-    if kernel not in KERNEL_TIERS:
-        raise ValueError(
-            f"unknown native kernel tier {kernel!r}; choose one of "
-            f"{('auto',) + KERNEL_TIERS}"
-        )
-    if not tiers[kernel]:
-        raise NativeBackendUnavailableError(
-            f"native kernel tier {kernel!r} is unavailable on this host "
-            f"(numba missing: pip install 'repro[native]'; cc missing: "
-            f"install a C compiler)"
-        )
-    if kernel == "numba":
-        return "numba", _get_numba_kernel()
-    if kernel == "cc":
-        return "cc", _get_cc_kernel()
-    return "python", _fleet_steps_impl
+        _KERNEL = call
+    return _KERNEL
 
 
 class NativeFleetBackend(VectorizedFleetBackend):
@@ -693,7 +383,7 @@ class NativeFleetBackend(VectorizedFleetBackend):
     compiled pass per chunk of steps (lane-outer, step-inner).
 
     Construction raises :class:`NativeBackendUnavailableError` when no
-    compiled tier exists (``kernel="auto"``) and
+    C compiler exists and
     :class:`~repro.algorithms.UnsupportedRuleError` when the configured
     update rule declares no compiled lowering
     (:class:`~repro.algorithms.RuleKernel`).  Every inherited surface —
@@ -702,6 +392,10 @@ class NativeFleetBackend(VectorizedFleetBackend):
     """
 
     _TELEMETRY_NAME = "native"
+
+    #: How the kernel was built, reported as ``telemetry_snapshot()
+    #: ["kernel"]`` and in perf records (one C build: always ``"cc"``).
+    kernel_tier = "cc"
 
     #: Steps fused per kernel invocation when a telemetry session is
     #: attached (the session is pulsed between chunks; without a session
@@ -716,7 +410,6 @@ class NativeFleetBackend(VectorizedFleetBackend):
         num_agents: int | None = None,
         salts: Sequence[int] | None = None,
         telemetry=None,
-        kernel: str | None = None,
     ):
         super().__init__(
             mdps, config, num_agents=num_agents, salts=salts, telemetry=telemetry
@@ -732,9 +425,7 @@ class NativeFleetBackend(VectorizedFleetBackend):
                 f"kernel does not lower; use the vectorized backend or add "
                 f"a RuleKernel lowering"
             )
-        if kernel is None:
-            kernel = os.environ.get(KERNEL_ENV_VAR) or "auto"
-        self.kernel_tier, self._kernel_fn = _resolve_kernel(kernel)
+        self._kernel_fn = _get_kernel()
 
         # Kernel-side constants and buffers.  The terminal flags become
         # an int64 copy once (env tables are immutable after build).

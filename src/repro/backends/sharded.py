@@ -872,6 +872,7 @@ class ShardedFleetBackend:
     state_dict = VectorizedFleetBackend.state_dict
     lane_state = VectorizedFleetBackend.lane_state
     load_lane_state = VectorizedFleetBackend.load_lane_state
+    _check_loaded = VectorizedFleetBackend._check_loaded
     q_float = VectorizedFleetBackend.q_float
     q_float_all = VectorizedFleetBackend.q_float_all
 

@@ -727,8 +727,58 @@ class VectorizedFleetBackend:
         state["stats"] = vars(self.stats).copy()
         return state
 
+    def _check_loaded(self, state: dict, lane: bool) -> None:
+        """Reject a checkpoint (or, with ``lane``, a :meth:`lane_state`
+        slice) whose arrays are misshapen or whose index-bearing fields
+        point outside the tables, with a :class:`ValueError` naming the
+        field.  Runs before anything is written, so a rejected load
+        leaves the fleet untouched; the native kernel indexes with these
+        latches unchecked, so a corrupted checkpoint must stop here."""
+        S, A = self.S, self.A
+        lfsr = (1, 1 << self.config.lfsr_width)
+        bounds = {
+            "arch_state": (-1, S),
+            "prev_state": (-1, S),
+            "forwarded": (-1, A),
+            "qmax_action": (0, A),
+            "prev_qmax_action": (0, A),
+            "prev_pair": (-1, S * A),
+            "target_count": (0, None),
+            "lfsr.start": lfsr,
+            "lfsr.action": lfsr,
+            "lfsr.policy": lfsr,
+        }
+        checks = []
+        for attr, key in self._STATE_ARRAYS:
+            shape = getattr(self, attr).shape
+            checks.append((key, shape[1:] if lane else shape, state[key]))
+        for name in ("start", "action", "policy"):
+            value = state["lfsr"][name]
+            checks.append((f"lfsr.{name}", () if lane else (self.K,), value))
+        for key, shape, value in checks:
+            arr = np.asarray(value)
+            if arr.shape != shape:
+                raise ValueError(
+                    f"checkpoint field {key!r}: shape {arr.shape}, expected {shape}"
+                )
+            if arr.dtype.kind not in "iu":
+                raise ValueError(
+                    f"checkpoint field {key!r}: dtype {arr.dtype}, expected integers"
+                )
+            if key not in bounds or not arr.size:
+                continue
+            lo, hi = bounds[key]
+            if arr.min() < lo or (hi is not None and arr.max() >= hi):
+                span = f"[{lo}, {hi})" if hi is not None else f">= {lo}"
+                raise ValueError(
+                    f"checkpoint field {key!r}: values in "
+                    f"[{arr.min()}, {arr.max()}], expected {span}"
+                )
+
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` checkpoint in place."""
+        """Restore a :meth:`state_dict` checkpoint in place (validated
+        first; see :meth:`_check_loaded`)."""
+        self._check_loaded(state, lane=False)
         for attr, key in self._STATE_ARRAYS:
             getattr(self, attr)[:] = state[key]
         self._bank_start.states[:] = state["lfsr"]["start"]
@@ -757,6 +807,7 @@ class VectorizedFleetBackend:
     def load_lane_state(self, k: int, lane: dict) -> None:
         """Restore one lane from a :meth:`lane_state` slice, leaving the
         other lanes (and the aggregate stats) untouched."""
+        self._check_loaded(lane, lane=True)
         for attr, key in self._STATE_ARRAYS:
             getattr(self, attr)[k] = lane[key]
         self._bank_start.states[k] = lane["lfsr"]["start"]

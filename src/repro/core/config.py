@@ -10,8 +10,7 @@ consume the same object, so an experiment is fully described by
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 from ..fixedpoint.format import COEF_FORMAT, Q_FORMAT, FxpFormat
 from ..fixedpoint import ops
@@ -38,7 +37,7 @@ BEHAVIOR_POLICIES = ("random", "egreedy")
 UPDATE_POLICIES = ("greedy", "egreedy")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class QTAccelConfig:
     """Static configuration of one accelerator pipeline.
 
@@ -56,15 +55,17 @@ class QTAccelConfig:
       (arXiv:1905.02841; one extra table, stage-4 soft sync).
 
     ``behavior_policy``/``update_policy`` remain as derived plumbing for
-    the engines; for the plain rules they stay authoritative (so
-    ``with_(update_policy=...)`` keeps working), while the accelerated
-    rules pin ``update_policy="greedy"`` and reject anything else with
-    a typed error.  Constructing with explicit policy strings but no
-    ``update_rule`` is deprecated (one-release shim).
+    the engines; left empty they take the rule's defaults.  For the
+    plain rules they stay authoritative (so ``with_(update_policy=...)``
+    keeps working), while the accelerated rules pin
+    ``update_policy="greedy"`` and reject anything else with a typed
+    error.  Construction is keyword-only.
     """
 
-    behavior_policy: str = "random"
-    update_policy: str = "greedy"
+    #: Empty means "the update rule's default" (random without a rule).
+    behavior_policy: str = ""
+    #: Empty means "the update rule's default" (greedy without a rule).
+    update_policy: str = ""
     alpha: float = 0.5
     gamma: float = 0.9
     epsilon: float = 0.1
@@ -94,6 +95,22 @@ class QTAccelConfig:
     target_sync_period: int = 0
 
     def __post_init__(self) -> None:
+        # Lazy import: repro.algorithms must not be imported at module
+        # level from here or the cycle closes.
+        from ..algorithms.rules import canonical_rule_name, get_rule
+
+        # The named rule's default policies fill any the caller left
+        # empty (unknown names fail fast with the typed error, before
+        # field validation).
+        if self.update_rule:
+            named = get_rule(self.update_rule)
+            defaults = (named.behavior_policy, named.update_policy)
+        else:
+            defaults = ("random", "greedy")
+        for fname, value in zip(("behavior_policy", "update_policy"), defaults):
+            if not getattr(self, fname):
+                object.__setattr__(self, fname, value)
+
         if self.behavior_policy not in BEHAVIOR_POLICIES:
             raise ValueError(
                 f"behavior_policy: unknown value {self.behavior_policy!r}; "
@@ -218,10 +235,7 @@ class QTAccelConfig:
                 f"{self.target_sync_period}"
             )
 
-        # Resolve the update rule (lazy import: repro.algorithms must not
-        # be imported at module level from here or the cycle closes).
-        from ..algorithms.rules import canonical_rule_name, get_rule
-
+        # Resolve the update rule.
         rule_name = self.update_rule
         if rule_name:
             rule_name = canonical_rule_name(rule_name)
@@ -305,79 +319,3 @@ class QTAccelConfig:
     def with_(self, **changes) -> "QTAccelConfig":
         """Copy with some fields replaced."""
         return replace(self, **changes)
-
-
-# ---------------------------------------------------------------------- #
-# Keyword-only construction (one-release positional shim)
-# ---------------------------------------------------------------------- #
-
-#: Declared field order, used only to interpret legacy positional calls.
-_FIELD_ORDER = tuple(f.name for f in fields(QTAccelConfig))
-
-_dataclass_init = QTAccelConfig.__init__
-
-
-def _kwonly_init(self, *args, **kw) -> None:
-    """Keyword-only ``QTAccelConfig.__init__``.
-
-    Positional arguments were never self-describing for a 14-field
-    config; they still work for one release, mapped onto the declared
-    field order with a :class:`DeprecationWarning` (allow-listed in the
-    tier-1 ``error::DeprecationWarning`` gate — see pyproject.toml).
-
-    Constructing the algorithm from bare ``behavior_policy``/
-    ``update_policy`` strings without naming an ``update_rule`` is
-    likewise deprecated for one release: the rule registry is the API
-    now (``QTAccelConfig(update_rule=...)`` or the presets).  The shim
-    only fires on *explicit* policy kwargs with no rule — ``with_()``
-    (``dataclasses.replace``) always passes the current ``update_rule``,
-    so copies never warn.
-    """
-    stringly = (
-        ("behavior_policy" in kw or "update_policy" in kw)
-        and not kw.get("update_rule")
-        and not args
-    )
-    if args:
-        if len(args) > len(_FIELD_ORDER):
-            raise TypeError(
-                f"QTAccelConfig takes at most {len(_FIELD_ORDER)} arguments "
-                f"({len(args)} given)"
-            )
-        names = _FIELD_ORDER[: len(args)]
-        warnings.warn(
-            "positional QTAccelConfig arguments are deprecated; pass "
-            f"{', '.join(names)} by keyword",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        for name, value in zip(names, args):
-            if name in kw:
-                raise TypeError(
-                    f"QTAccelConfig got multiple values for argument {name!r}"
-                )
-            kw[name] = value
-    if stringly:
-        warnings.warn(
-            "constructing QTAccelConfig from behavior_policy/update_policy "
-            "strings is deprecated; pass update_rule=... (or use a preset "
-            "such as QTAccelConfig.qlearning()/.sarsa()/.momentum()/"
-            ".target_q())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    rule_name = kw.get("update_rule")
-    if rule_name:
-        # Resolve early so the rule's default policies fill any the
-        # caller left unspecified (and unknown names fail fast with the
-        # typed error, before field validation).
-        from ..algorithms.rules import get_rule
-
-        if isinstance(rule_name, str):
-            rule = get_rule(rule_name)
-            kw.setdefault("behavior_policy", rule.behavior_policy)
-            kw.setdefault("update_policy", rule.update_policy)
-    _dataclass_init(self, **kw)
-
-
-QTAccelConfig.__init__ = _kwonly_init  # type: ignore[method-assign]

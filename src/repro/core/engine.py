@@ -35,10 +35,9 @@ Engine kinds
                         shared memory; remember to ``close()`` it)
 ``"native"``            :class:`~repro.backends.native.NativeFleetBackend`
                         (the lock-step program fused into one compiled
-                        pass — numba JIT via the ``repro[native]`` extra or
-                        a runtime-compiled C kernel; raises a typed
+                        C kernel pass, compiled at first use; raises a typed
                         :class:`~repro.backends.native.NativeBackendUnavailableError`
-                        when neither exists)
+                        when no C compiler exists)
 ======================  ====================================================
 
 Scalar engines (``functional``/``pipeline``) take one ``mdp``; fleet

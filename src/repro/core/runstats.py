@@ -1,9 +1,9 @@
 """The shared run-result contract of every engine's stats object.
 
 Each engine historically grew its own counters dataclass with ad-hoc
-spellings (``FunctionalStats.samples``, ``BatchStats.total_samples``,
-``PipelineStats.retired``...).  :class:`RunStatsContract` normalises the
-surface every consumer can rely on, without removing anything:
+spellings (``FunctionalStats.samples``, ``PipelineStats.retired``...).
+:class:`RunStatsContract` normalises the surface every consumer can rely
+on, without removing anything:
 
 * ``.samples`` — total Q-value updates retired by the run;
 * ``.cycles`` — clock cycles consumed, or ``None`` on engines with no
@@ -11,11 +11,7 @@ surface every consumer can rely on, without removing anything:
 * ``.as_dict()`` — all counters plus the two normalised keys, as plain
   JSON-ready values.
 
-Old spellings stay as thin adapters; the deprecated ones
-(``BatchStats.total_samples``) emit a :class:`DeprecationWarning` for
-one release before removal (the tier-1 suite runs with
-``error::DeprecationWarning`` and allow-lists exactly those shims —
-see pyproject.toml).
+Old spellings that still carry meaning stay as thin adapters.
 """
 
 from __future__ import annotations

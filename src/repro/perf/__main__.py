@@ -121,7 +121,6 @@ def _cmd_fleet(args) -> int:
             lane_counts=SMOKE_LANE_COUNTS if args.smoke else LANE_COUNTS,
             repeats=args.repeats,
             quick=args.smoke,
-            kernel=args.kernel,
         )
         print(render_native_throughput(record))
     elif args.rules:
@@ -464,13 +463,6 @@ def main(argv: list[str] | None = None) -> int:
         default="auto",
         help="'native' runs the fused-kernel sweep (native vs vectorized) "
         "instead of the scalar-vs-vectorized sweep",
-    )
-    p_fleet.add_argument(
-        "--kernel",
-        choices=("auto", "numba", "cc", "python"),
-        default=None,
-        help="with --backend native: pin a kernel tier (default: "
-        "QTACCEL_NATIVE_KERNEL env, then numba, then cc)",
     )
     p_fleet.add_argument(
         "--workers",

@@ -593,7 +593,6 @@ def run_native_throughput(
     repeats: int = 3,
     warmup: int = 1,
     quick: bool = False,
-    kernel: Optional[str] = None,
     clock: Callable[[], float] = time.perf_counter,
 ) -> dict:
     """Measure native fused-kernel vs vectorized fleet throughput.
@@ -606,15 +605,14 @@ def run_native_throughput(
     median of paired per-update ratios (machine-portable, the CI
     sentinel's gate at 4096 lanes).
 
-    ``kernel`` forwards a tier request (``numba``/``cc``/``python``);
-    default resolves like the backend (env var, then auto).  Raises
-    :class:`~repro.backends.native.NativeBackendUnavailableError` when
-    no compiled tier exists.  Returns the snapshot-embeddable record
-    stored under ``native_throughput``::
+    Raises :class:`~repro.backends.native.NativeBackendUnavailableError`
+    when no C compiler exists.  Returns the snapshot-embeddable record
+    stored under ``native_throughput`` (``kernel`` is the backend's
+    ``kernel_tier``)::
 
         {
           "lane_counts": [1, 16, 256, 4096],
-          "repeats": 3, "kernel": "numba",
+          "repeats": 3, "kernel": "cc",
           "points": {
             "4096": {
               "native":     {"steps", "updates", "seconds_median",
@@ -641,16 +639,14 @@ def run_native_throughput(
     mdp, cfg = _mdp(), _config()
     scale = 10 if quick else 1
     points: dict[str, dict] = {}
-    kernel_tier = None
 
     for lanes in lane_counts:
         nat_steps = _steps(_NATIVE_BUDGET // scale, _NATIVE_STEP_CAP // scale, lanes)
         vec_steps = _steps(_VEC_BUDGET // scale, _VEC_STEP_CAP // scale, lanes)
 
-        nat = NativeFleetBackend(mdp, cfg, num_agents=lanes, kernel=kernel)
+        nat = NativeFleetBackend(mdp, cfg, num_agents=lanes)
         vec = VectorizedFleetBackend(mdp, cfg, num_agents=lanes)
-        kernel_tier = nat.kernel_tier
-        # First native run also pays any one-time JIT/compile cost —
+        # First native run also pays any one-time compile cost —
         # always warm at least once so repeats see the steady state.
         nat.run(nat_steps)
         vec.run(vec_steps)
@@ -696,7 +692,7 @@ def run_native_throughput(
         "lane_counts": lane_counts,
         "repeats": repeats,
         "quick": quick,
-        "kernel": kernel_tier,
+        "kernel": NativeFleetBackend.kernel_tier,
         "points": points,
     }
 

@@ -7,12 +7,19 @@ default fixed-point formats, non-default rounding/overflow variants,
 and wide "float-like" formats alike.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.backends import (
-    BatchStats,
     FleetBackend,
     ScalarFleetBackend,
     ShardedFleetBackend,
@@ -159,6 +166,104 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(fleet.q[1], f.tables.q.data)
 
 
+#: Runs every checkpoint corruption against one backend in a child
+#: process, so a crash in compiled code fails the test instead of killing
+#: the run.  Prints one JSON object: case -> exception type name (or
+#: "loaded" when the corrupt state was accepted), plus "untouched": whether
+#: the fleet still replays a clean run after all the rejected loads.
+_CORRUPTION_CHILD = textwrap.dedent(
+    """
+    import copy, json, sys
+    import numpy as np
+    from repro.backends import make_fleet_backend
+    from repro.core.config import QTAccelConfig
+    from repro.envs.gridworld import GridWorld
+
+    backend = sys.argv[1]
+    world = GridWorld.empty(4, 4).to_mdp()  # 16 states x 4 actions
+    kw = {"num_workers": 2, "mp_context": "fork"} if backend == "sharded" else {}
+    CASES = [
+        ("arch_state", 10_000_000), ("arch_state", 16), ("arch_state", -2),
+        ("prev_state", 16), ("forwarded", 4), ("forwarded", -2),
+        ("qmax_action", 4), ("prev_qmax_action", -1), ("prev_pair", 64),
+        ("target_count", -1), ("lfsr.start", -5), ("lfsr.action", 0),
+        ("lfsr.policy", 1 << 24), ("q", "shape"), ("arch_state", "float"),
+    ]
+
+    def corrupt(state, field, value, lane):
+        if field.startswith("lfsr."):
+            state, field = state["lfsr"], field[5:]
+        if value == "shape":
+            state[field] = state[field][..., :-1]
+        elif value == "float":
+            state[field] = np.asarray(state[field], dtype=float)
+        elif lane:
+            state[field] = value
+        else:
+            state[field][0] = value
+
+    out = {}
+    for cfg in (QTAccelConfig.qlearning(seed=1), QTAccelConfig.target_q(seed=1)):
+        fleet = make_fleet_backend(world, cfg, backend=backend, num_agents=2, **kw)
+        ref = make_fleet_backend(world, cfg, backend="vectorized", num_agents=2)
+        fleet.run(3)
+        ref.run(3)
+        clean, clean_lane = fleet.state_dict(), fleet.lane_state(0)
+        for field, value in CASES:
+            if field not in clean and not field.startswith("lfsr."):
+                continue
+            for lane in (False, True):
+                state = copy.deepcopy(clean_lane if lane else clean)
+                corrupt(state, field, value, lane)
+                case = f"{cfg.update_rule}:{'lane' if lane else 'fleet'}:{field}={value}"
+                try:
+                    if lane:
+                        fleet.load_lane_state(0, state)
+                    else:
+                        fleet.load_state_dict(state)
+                    fleet.run(4)
+                    out[case] = "loaded"
+                except Exception as exc:
+                    out[case] = type(exc).__name__
+        fleet.run(4)
+        ref.run(4)
+        out[f"{cfg.update_rule}:untouched"] = bool(
+            np.array_equal(fleet.q, ref.q) and np.array_equal(fleet.qmax, ref.qmax)
+        )
+        getattr(fleet, "close", lambda: None)()
+    print(json.dumps(out))
+    """
+)
+
+
+class TestCorruptCheckpoint:
+    """A corrupted checkpoint gets a typed ``ValueError`` at load time on
+    every array backend — never a crash, never a silent continuation."""
+
+    @pytest.mark.parametrize("backend", ["native", "vectorized", "sharded"])
+    def test_corrupt_checkpoint_raises_typed_error(self, backend):
+        if backend == "native":
+            from repro.backends.native import _find_compiler
+
+            if _find_compiler() is None:
+                pytest.skip("no C compiler for the fused kernel")
+        src_dir = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _CORRUPTION_CHILD, backend],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src_dir)),
+            timeout=300,
+        )
+        assert proc.returncode == 0, f"child died ({proc.returncode}):\n{proc.stderr}"
+        results = json.loads(proc.stdout)
+        untouched = {k: results.pop(k) for k in list(results) if k.endswith("untouched")}
+        assert untouched and all(untouched.values()), untouched
+        assert results and all(v == "ValueError" for v in results.values()), {
+            k: v for k, v in results.items() if v != "ValueError"
+        }
+
+
 class TestRegistryAndDispatch:
     def test_registry_names(self):
         assert set(fleet_backends()) == {"native", "scalar", "sharded", "vectorized"}
@@ -193,10 +298,11 @@ class TestRegistryAndDispatch:
         assert d["cycles"] is None
         assert fleet.stats.samples == 20
 
-    def test_total_samples_deprecated(self):
-        stats = BatchStats(agents=2, samples_per_agent=5)
-        with pytest.warns(DeprecationWarning, match="total_samples"):
-            assert stats.total_samples == 10
+    def test_total_samples_is_a_snapshot_key_only(self):
+        fleet = make_fleet_backend(GRID, QTAccelConfig.qlearning(seed=1), num_agents=2)
+        fleet.run(5)
+        assert not hasattr(fleet.stats, "total_samples")
+        assert fleet.telemetry_snapshot()["total_samples"] == fleet.stats.samples == 10
 
 
 # ---------------------------------------------------------------------- #

@@ -1,5 +1,5 @@
 """Tests for the unified engine API: ``make_engine``, the ``Engine``
-protocol, the shared run-stats contract, and the deprecation shims."""
+protocol, the shared run-stats contract, and the removed expired shims."""
 
 import warnings
 
@@ -125,36 +125,37 @@ class TestRunStatsContract:
 
 
 class TestDeprecationShims:
-    def test_positional_config_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="positional QTAccelConfig"):
-            cfg = QTAccelConfig("egreedy", "egreedy")
-        assert cfg == QTAccelConfig(update_rule="sarsa")
+    """The expired one-release shims are gone: construction is
+    keyword-only and warning-free, and stats have one spelling."""
 
-    def test_stringly_policy_config_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="update_rule"):
+    def test_policy_strings_derive_plain_rule_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cfg = QTAccelConfig(behavior_policy="egreedy", update_policy="egreedy")
         assert cfg == QTAccelConfig(update_rule="sarsa")
+        assert QTAccelConfig(update_rule="sarsa").algorithm == "sarsa"
 
     def test_keyword_config_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             QTAccelConfig(update_rule="qlearning")
             QTAccelConfig(update_rule="sarsa", epsilon=0.25)
-            QTAccelConfig()  # defaults name no policies: no shim fires
+            QTAccelConfig()
 
     def test_too_many_positionals(self):
-        with pytest.raises(TypeError, match="at most"):
+        with pytest.raises(TypeError, match="positional"):
             QTAccelConfig(*(["random"] * 20))
 
     def test_positional_keyword_collision(self):
-        with pytest.raises(TypeError, match="multiple values"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        # Keyword-only: any positional argument is rejected outright.
+        with pytest.raises(TypeError, match="positional"):
             QTAccelConfig("random", behavior_policy="random")
 
-    def test_total_samples_alias_warns(self):
+    def test_total_samples_alias_removed(self):
         stats = BatchStats(agents=3, samples_per_agent=7)
-        with pytest.warns(DeprecationWarning, match="total_samples"):
-            assert stats.total_samples == 21
+        assert stats.samples == 21
+        with pytest.raises(AttributeError):
+            stats.total_samples
 
     def test_validation_errors_name_field_and_value(self):
         with pytest.raises(ValueError, match="qmax_mode: unknown value 'bogus'"):

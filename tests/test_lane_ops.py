@@ -41,11 +41,12 @@ def _build(backend: str, config, k: int):
     if backend == "scalar":
         return make_fleet_backend(WORLD, config, backend="scalar", num_agents=k)
     if backend == "native":
-        from repro.backends.native import NativeFleetBackend
+        from repro.backends.native import NativeFleetBackend, _find_compiler
 
-        # Lane ops route through the shared vectorized path; the
-        # interpreted tier keeps this test independent of numba/cc.
-        return NativeFleetBackend(WORLD, config, num_agents=k, kernel="python")
+        if _find_compiler() is None:
+            pytest.skip("no C compiler for the fused kernel")
+        # Lane ops route through the shared vectorized path.
+        return NativeFleetBackend(WORLD, config, num_agents=k)
     return VectorizedFleetBackend(WORLD, config, num_agents=k)
 
 

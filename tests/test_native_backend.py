@@ -1,28 +1,18 @@
 """The native fused-kernel backend (``repro.backends.native``).
 
-Contract under test, tier by tier: whichever kernel tier advances the
-fleet — interpreted ``python``, runtime-compiled ``cc``, JIT ``numba`` —
-the resulting architectural state is bit-identical to the vectorized
-numpy program (and therefore, transitively, to the scalar
-:class:`FunctionalSimulator` every other backend is pinned against).
-The suite runs against every tier available on the host; the ``python``
-oracle is always available, so the contract is exercised even on a
-machine with neither numba nor a C compiler.
+Contract under test: after the C kernel advances the fleet, the
+architectural state is bit-identical to the vectorized numpy program
+(and therefore, transitively, to the scalar :class:`FunctionalSimulator`
+every other backend is pinned against).  The kernel needs a C compiler,
+so the module is skipped on a host without one.
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro
 from repro.algorithms import RuleKernel, UnsupportedRuleError
 from repro.algorithms.rules import QLearningRule
 from repro.backends import (
@@ -33,7 +23,6 @@ from repro.backends import (
     fleet_backend_availability,
     fleet_backends,
     make_fleet_backend,
-    native_kernel_tiers,
 )
 from repro.backends import native as native_mod
 from repro.core.batch import BatchIndependentSimulator
@@ -45,13 +34,11 @@ from repro.envs.random_mdp import random_dense_mdp
 from repro.fixedpoint import FxpFormat
 from tests.test_update_rules import GOLDEN_MOMENTUM, GRID
 
-LOOPY = random_dense_mdp(16, 4, seed=9, self_loop_bias=0.5)
+pytestmark = pytest.mark.skipif(
+    native_mod._find_compiler() is None, reason="no C compiler for the fused kernel"
+)
 
-#: Kernel tiers present on this host, cheapest-to-verify first.  The
-#: interpreted oracle is unconditionally present; CI's native-smoke job
-#: adds numba, most dev hosts add cc.
-AVAILABLE_TIERS = [t for t in ("python", "cc", "numba") if native_kernel_tiers()[t]]
-COMPILED_TIERS = [t for t in AVAILABLE_TIERS if t != "python"]
+LOOPY = random_dense_mdp(16, 4, seed=9, self_loop_bias=0.5)
 
 #: Formats the bit-identity sweep covers: the default s16.6 in both
 #: rounding modes, wrap overflow, a deliberately narrow word that
@@ -110,65 +97,27 @@ class TestRegistryAndDispatch:
         assert isinstance(rep["native"]["available"], bool)
         assert isinstance(rep["native"]["detail"], str)
 
-    def test_kernel_tier_report(self):
-        tiers = native_kernel_tiers()
-        assert set(tiers) == {"numba", "cc", "python"}
-        assert tiers["python"] is True
-
     def test_make_engine_and_facade_dispatch(self):
         cfg = QTAccelConfig.qlearning(seed=1)
-        eng = make_engine(cfg, engine="native", mdp=GRID, num_agents=2, kernel="python")
-        fab = make_fleet_backend(GRID, cfg, backend="native", num_agents=2, kernel="python")
-        bat = BatchIndependentSimulator(
-            GRID, cfg, num_agents=2, backend="native", kernel="python"
-        )
+        eng = make_engine(cfg, engine="native", mdp=GRID, num_agents=2)
+        fab = make_fleet_backend(GRID, cfg, backend="native", num_agents=2)
+        bat = BatchIndependentSimulator(GRID, cfg, num_agents=2, backend="native")
         for built in (eng, fab, bat):
             assert isinstance(built, NativeFleetBackend)
             assert isinstance(built, FleetBackend)
         eng.run(16)
         assert eng.stats.samples == 32
 
-    def test_env_var_selects_tier(self, monkeypatch):
-        monkeypatch.setenv(native_mod.KERNEL_ENV_VAR, "python")
-        fleet = NativeFleetBackend(GRID, QTAccelConfig.qlearning(seed=1), num_agents=1)
-        assert fleet.kernel_tier == "python"
-
-    def test_explicit_kernel_overrides_env_var(self, monkeypatch):
-        monkeypatch.setenv(native_mod.KERNEL_ENV_VAR, "definitely-not-a-tier")
-        fleet = NativeFleetBackend(
-            GRID, QTAccelConfig.qlearning(seed=1), num_agents=1, kernel="python"
-        )
-        assert fleet.kernel_tier == "python"
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="unknown native kernel tier"):
-            NativeFleetBackend(
-                GRID, QTAccelConfig.qlearning(seed=1), num_agents=1, kernel="gpu"
-            )
-
-    def test_unavailable_auto_raises_typed_error(self, monkeypatch):
-        """With no compiled tier the error is typed and names the extra."""
-        monkeypatch.setattr(
-            native_mod,
-            "native_kernel_tiers",
-            lambda: {"numba": False, "cc": False, "python": True},
-        )
-        with pytest.raises(NativeBackendUnavailableError, match=r"repro\[native\]"):
+    def test_no_compiler_raises_typed_error(self, monkeypatch):
+        """Without a C compiler the backend is unavailable, and building
+        it fails typed, naming the missing compiler."""
+        monkeypatch.setattr(native_mod, "_find_compiler", lambda: None)
+        with pytest.raises(NativeBackendUnavailableError, match="C compiler"):
             make_engine(
                 QTAccelConfig.qlearning(seed=1), engine="native", mdp=GRID,
                 num_agents=1,
             )
-
-    def test_unavailable_explicit_tier_raises_typed_error(self, monkeypatch):
-        monkeypatch.setattr(
-            native_mod,
-            "native_kernel_tiers",
-            lambda: {"numba": False, "cc": True, "python": True},
-        )
-        with pytest.raises(NativeBackendUnavailableError, match="'numba'"):
-            NativeFleetBackend(
-                GRID, QTAccelConfig.qlearning(seed=1), num_agents=1, kernel="numba"
-            )
+        assert fleet_backend_availability()["native"]["available"] is False
 
     def test_unlowered_rule_rejected_at_construction(self, monkeypatch):
         """A rule whose RuleKernel id has no fused lowering fails early,
@@ -177,45 +126,40 @@ class TestRegistryAndDispatch:
             QLearningRule, "kernel", RuleKernel(kernel_id=9, note="no lowering")
         )
         with pytest.raises(UnsupportedRuleError, match="kernel_id=9"):
-            NativeFleetBackend(
-                GRID, QTAccelConfig.qlearning(seed=1), num_agents=1, kernel="python"
-            )
+            NativeFleetBackend(GRID, QTAccelConfig.qlearning(seed=1), num_agents=1)
 
     def test_telemetry_snapshot_reports_tier(self):
-        fleet = NativeFleetBackend(
-            GRID, QTAccelConfig.qlearning(seed=2), num_agents=2, kernel="python"
-        )
+        fleet = NativeFleetBackend(GRID, QTAccelConfig.qlearning(seed=2), num_agents=2)
         fleet.run(8)
         snap = fleet.telemetry_snapshot()
-        assert snap["kernel"] == "python"
+        assert snap["kernel"] == "cc"
 
 
 # ---------------------------------------------------------------------- #
-# Bit identity: every tier == the vectorized program == the scalar sim
+# Bit identity: the kernel == the vectorized program == the scalar sim
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("tier", AVAILABLE_TIERS)
 class TestBitIdentity:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(1, 2**16),
         rule=st.sampled_from(RULES),
         fmt=st.sampled_from(sorted(Q_FORMATS)),
         qmax_mode=st.sampled_from(["exact", "monotonic", "follow"]),
     )
-    def test_matches_vectorized(self, tier, seed, rule, fmt, qmax_mode):
+    def test_matches_vectorized(self, seed, rule, fmt, qmax_mode):
         cfg = _cfg(rule, seed=seed, q_format=Q_FORMATS[fmt], qmax_mode=qmax_mode)
-        nat = NativeFleetBackend(LOOPY, cfg, num_agents=3, kernel=tier)
+        nat = NativeFleetBackend(LOOPY, cfg, num_agents=3)
         vec = VectorizedFleetBackend(LOOPY, cfg, num_agents=3)
         nat.run(200)
         vec.run(200)
         _assert_same_state(nat, vec)
 
-    def test_lane_matches_functional(self, tier):
+    def test_lane_matches_functional(self):
         """Lane k of the fused kernel == a scalar sim with salt k."""
         cfg = QTAccelConfig.sarsa(seed=23, qmax_mode="follow")
-        fleet = NativeFleetBackend(GRID, cfg, num_agents=3, kernel=tier)
+        fleet = NativeFleetBackend(GRID, cfg, num_agents=3)
         fleet.run(300)
         for k in range(3):
             ref = FunctionalSimulator(
@@ -226,30 +170,30 @@ class TestBitIdentity:
             assert np.array_equal(fleet.qmax[k], ref.tables.qmax.data)
             assert np.array_equal(fleet.qmax_action[k], ref.tables.qmax_action.data)
 
-    def test_hard_target_sync_matches_vectorized(self, tier):
+    def test_hard_target_sync_matches_vectorized(self):
         """The wholesale table copy (sync_period) inside the fused loop."""
         cfg = QTAccelConfig.target_q(seed=31, target_sync_period=17)
-        nat = NativeFleetBackend(GRID, cfg, num_agents=3, kernel=tier)
+        nat = NativeFleetBackend(GRID, cfg, num_agents=3)
         vec = VectorizedFleetBackend(GRID, cfg, num_agents=3)
         nat.run(250)
         vec.run(250)
         _assert_same_state(nat, vec)
         assert np.array_equal(nat.target, vec.target)
 
-    def test_heterogeneous_fleet_matches_vectorized(self, tier):
+    def test_heterogeneous_fleet_matches_vectorized(self):
         """Per-lane env table offsets survive the fused lowering."""
         worlds = [GRID, GRID, GRID]
         cfg = QTAccelConfig.sarsa(seed=41, qmax_mode="follow")
-        nat = NativeFleetBackend(worlds, cfg, salts=[5, 9, 2], kernel=tier)
+        nat = NativeFleetBackend(worlds, cfg, salts=[5, 9, 2])
         vec = VectorizedFleetBackend(worlds, cfg, salts=[5, 9, 2])
         nat.run(200)
         vec.run(200)
         _assert_same_state(nat, vec)
 
-    def test_step_and_run_interleave(self, tier):
+    def test_step_and_run_interleave(self):
         """Mixing single fused steps with fused runs stays on trajectory."""
         cfg = QTAccelConfig.qlearning(seed=3)
-        nat = NativeFleetBackend(GRID, cfg, num_agents=2, kernel=tier)
+        nat = NativeFleetBackend(GRID, cfg, num_agents=2)
         vec = VectorizedFleetBackend(GRID, cfg, num_agents=2)
         for _ in range(30):
             nat.step()
@@ -259,13 +203,11 @@ class TestBitIdentity:
         assert np.array_equal(nat.q, vec.q)
         assert np.array_equal(nat.qmax, vec.qmax)
 
-    def test_golden_momentum_trace(self, tier):
+    def test_golden_momentum_trace(self):
         """The fused kernel reproduces the committed momentum golden
         trace sample by sample (lane 0 == the default-salt scalar sim);
         the lag latches expose (pair, action, q_raw) after each step."""
-        fleet = NativeFleetBackend(
-            GRID, QTAccelConfig.momentum(seed=5), num_agents=1, kernel=tier
-        )
+        fleet = NativeFleetBackend(GRID, QTAccelConfig.momentum(seed=5), num_agents=1)
         A = fleet.A
         for sample, state, action, q_raw in GOLDEN_MOMENTUM:
             fleet.step()
@@ -276,19 +218,17 @@ class TestBitIdentity:
             assert int(fleet.q[0, got_pair]) == q_raw, f"sample {sample}"
 
 
-@pytest.mark.parametrize("tier", COMPILED_TIERS)
-def test_compiled_tier_agrees_with_python_oracle(tier):
-    """Compiled tiers replay the interpreted oracle exactly — including
-    the narrow wrap-overflow format where C/numba integer semantics
-    could plausibly diverge from the numpy reference."""
+def test_narrow_wrap_momentum_matches_vectorized():
+    """The narrow wrap-overflow momentum format, where C integer
+    semantics could plausibly diverge from the numpy reference."""
     cfg = QTAccelConfig.momentum(
         seed=7, q_format=FxpFormat(10, 4, overflow="wrap"), qmax_mode="follow"
     )
-    fast = NativeFleetBackend(LOOPY, cfg, num_agents=3, kernel=tier)
-    oracle = NativeFleetBackend(LOOPY, cfg, num_agents=3, kernel="python")
-    fast.run(400)
-    oracle.run(400)
-    _assert_same_state(fast, oracle)
+    nat = NativeFleetBackend(LOOPY, cfg, num_agents=3)
+    vec = VectorizedFleetBackend(LOOPY, cfg, num_agents=3)
+    nat.run(400)
+    vec.run(400)
+    _assert_same_state(nat, vec)
 
 
 # ---------------------------------------------------------------------- #
@@ -297,17 +237,16 @@ def test_compiled_tier_agrees_with_python_oracle(tier):
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("tier", AVAILABLE_TIERS)
-    def test_state_dict_replays_exactly(self, tier):
+    def test_state_dict_replays_exactly(self):
         cfg = QTAccelConfig.target_q(seed=13, target_sync_period=32)
-        fleet = NativeFleetBackend(LOOPY, cfg, num_agents=4, kernel=tier)
+        fleet = NativeFleetBackend(LOOPY, cfg, num_agents=4)
         fleet.run(150)
         ckpt = fleet.state_dict()
         fleet.run(150)
         q_after = fleet.q.copy()
         stats_after = fleet.stats.as_dict()
 
-        fresh = NativeFleetBackend(LOOPY, cfg, num_agents=4, kernel=tier)
+        fresh = NativeFleetBackend(LOOPY, cfg, num_agents=4)
         fresh.load_state_dict(ckpt)
         fresh.run(150)
         assert np.array_equal(fresh.q, q_after)
@@ -318,7 +257,7 @@ class TestCheckpoint:
         """A mid-run native checkpoint restores into the vectorized
         backend (and back) with the continuation bit-identical."""
         cfg = QTAccelConfig.momentum(seed=17, qmax_mode="follow")
-        nat = NativeFleetBackend(GRID, cfg, num_agents=3, kernel="python")
+        nat = NativeFleetBackend(GRID, cfg, num_agents=3)
         nat.run(120)
         ckpt = nat.state_dict()
         nat.run(120)
@@ -328,7 +267,7 @@ class TestCheckpoint:
         vec.run(120)
         _assert_same_state(nat, vec)
 
-        back = NativeFleetBackend(GRID, cfg, num_agents=3, kernel="python")
+        back = NativeFleetBackend(GRID, cfg, num_agents=3)
         back.load_state_dict(VectorizedFleetBackend(GRID, cfg, num_agents=3).state_dict())
         fresh_vec = VectorizedFleetBackend(GRID, cfg, num_agents=3)
         back.run(90)
@@ -337,7 +276,7 @@ class TestCheckpoint:
 
     def test_lane_rollback(self):
         cfg = QTAccelConfig.qlearning(seed=8)
-        fleet = NativeFleetBackend(GRID, cfg, num_agents=3, kernel="python")
+        fleet = NativeFleetBackend(GRID, cfg, num_agents=3)
         fleet.run(120)
         lane = fleet.lane_state(1)
         fleet.run(50)
@@ -347,64 +286,6 @@ class TestCheckpoint:
         ref = FunctionalSimulator(GRID, cfg, draws=PolicyDraws.from_config(cfg, salt=1))
         ref.run(120)
         assert np.array_equal(fleet.q[1], ref.tables.q.data)
-
-
-# ---------------------------------------------------------------------- #
-# Import hygiene: the package never needs numba
-# ---------------------------------------------------------------------- #
-
-
-def test_import_and_python_tier_never_touch_numba():
-    """``import repro.backends`` plus a python-tier run must succeed
-    with numba imports hard-blocked — the extra is optional, and only
-    the explicit ``kernel='numba'`` tier may reach for it."""
-    src_dir = Path(repro.__file__).resolve().parents[1]
-    code = textwrap.dedent(
-        """
-        import importlib.abc, importlib.machinery, sys
-
-        class _BlockLoader(importlib.abc.Loader):
-            def create_module(self, spec):
-                raise ImportError("numba import blocked by test")
-
-            def exec_module(self, module):
-                raise ImportError("numba import blocked by test")
-
-        class _BlockFinder:
-            def find_spec(self, name, path=None, target=None):
-                if name == "numba" or name.startswith("numba."):
-                    return importlib.machinery.ModuleSpec(name, _BlockLoader())
-                return None
-
-        sys.meta_path.insert(0, _BlockFinder())
-
-        import repro.backends
-        assert "numba" not in sys.modules
-        from repro.backends import NativeFleetBackend
-        from repro.core.config import QTAccelConfig
-        from repro.envs.random_mdp import random_dense_mdp
-
-        mdp = random_dense_mdp(16, 4, seed=9, self_loop_bias=0.5)
-        fleet = NativeFleetBackend(
-            mdp, QTAccelConfig.qlearning(seed=3), num_agents=2, kernel="python"
-        )
-        fleet.run(32)
-        assert "numba" not in sys.modules
-        print("NUMBA-FREE-OK")
-        """
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(src_dir)
-    env.pop(native_mod.KERNEL_ENV_VAR, None)
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        cwd=str(src_dir.parent),
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "NUMBA-FREE-OK" in proc.stdout
 
 
 # ---------------------------------------------------------------------- #
@@ -418,15 +299,14 @@ class TestNativeSweepRecord:
 
         fake = iter(float(i) * 0.5 for i in range(10_000))
         return run_native_throughput(
-            lane_counts=(4,), repeats=2, quick=True, kernel="python",
-            clock=lambda: next(fake),
+            lane_counts=(4,), repeats=2, quick=True, clock=lambda: next(fake),
         )
 
     def test_record_shape_and_gate(self):
         from repro.perf.fleet import check_native_speedup
 
         rec = self._record()
-        assert rec["kernel"] == "python"
+        assert rec["kernel"] == "cc"
         point = rec["points"]["4"]
         assert {"native", "vectorized", "speedup_vs_vectorized"} <= set(point)
         ok, detail = check_native_speedup(rec, min_speedup=1e9)
@@ -469,7 +349,7 @@ class TestNativeSweepRecord:
         from repro.perf.compare import _compare_native
 
         base = {"kernel": "cc", "quick": False, "points": {}}
-        new = {"kernel": "numba", "quick": False, "points": {}}
+        new = {"kernel": "cc", "quick": True, "points": {}}
         findings: list = []
         _compare_native(base, new, gate_time=True, findings=findings)
         assert [f.verdict for f in findings] == ["skipped"]

@@ -124,10 +124,10 @@ class TestConfigApi:
         cfg = QTAccelConfig(update_rule="momentum")
         assert cfg.update_rule == "momentum_qlearning"
 
-    def test_stringly_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="update_rule"):
-            cfg = QTAccelConfig(behavior_policy="egreedy", update_policy="egreedy")
+    def test_stringly_construction_derives_plain_rule(self):
+        cfg = QTAccelConfig(behavior_policy="egreedy", update_policy="egreedy")
         assert cfg.algorithm == "sarsa"
+        assert QTAccelConfig(update_rule="sarsa").update_policy == "egreedy"
 
     def test_presets_and_with_do_not_warn(self, recwarn):
         cfg = QTAccelConfig.momentum(seed=3)
