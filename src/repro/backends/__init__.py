@@ -33,6 +33,7 @@ from .base import (
     FleetStats,
     fleet_backend_availability,
     fleet_backends,
+    lane_transitions,
     make_fleet_backend,
     normalize_fleet,
     resolve_fleet_backend,
@@ -58,6 +59,7 @@ __all__ = [
     "VectorizedFleetBackend",
     "fleet_backend_availability",
     "fleet_backends",
+    "lane_transitions",
     "make_fleet_backend",
     "native_available",
     "normalize_fleet",

@@ -32,6 +32,7 @@ normalisation/validation, the :class:`BatchStats` counters, the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from ..core.runstats import RunStatsContract
 from ..envs.base import DenseMdp
+from ..fixedpoint import ops
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import QTAccelConfig
@@ -129,6 +131,94 @@ def normalize_fleet(
     return FleetSpec(mdps=fleet, homogeneous=homogeneous, salts=salt_arr)
 
 
+_U64 = np.uint64
+
+
+def _is_index(v) -> bool:
+    """An integer scalar that is not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+@functools.lru_cache(maxsize=16)
+def _index_bounds(S: int, A: int) -> np.ndarray:
+    """Exclusive upper bounds of the state, next-state and action rows."""
+    bounds = np.array((S, S, A), dtype=_U64)[:, None]
+    bounds.flags.writeable = False
+    return bounds
+
+
+def lane_transitions(
+    fleet,
+    k,
+    state,
+    action,
+    reward,
+    next_state,
+    terminal=False,
+    *,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Validate and quantise the transitions of one ``apply_transition``.
+
+    Each of ``state``, ``action``, ``reward``, ``next_state`` and
+    ``terminal`` is a scalar or a 1-D column; columns share one length and
+    scalars broadcast along it.  Returns a C-contiguous ``(5, n)`` int64
+    array whose rows are ``state, next_state, action, terminal,
+    reward_raw`` — the reward quantised into ``fleet.config.q_format`` —
+    laid out at the start of the flat buffer ``out`` when it has room.
+    Raises :class:`ValueError` for a lane outside ``0..K-1``, a
+    non-integer or out-of-range state or action, a non-finite reward or
+    mismatched column lengths; every backend calls this before applying
+    any row, so a bad batch changes nothing.
+    """
+    S, A = fleet.S, fleet.A
+    if (
+        type(k) is int and 0 <= k < fleet.K
+        and type(state) is int and 0 <= state < S
+        and type(next_state) is int and 0 <= next_state < S
+        and type(action) is int and 0 <= action < A
+        and type(terminal) is bool and type(reward) is float
+    ):
+        # One valid transition of Python scalars (the interactive path);
+        # anything else takes the general path, which names the problem.
+        rows = _rows_in(out, 1)
+        rows[:, 0] = (state, next_state, action, terminal, fleet.config.q_format.quantize(reward))
+        return rows
+    if not _is_index(k) or not 0 <= k < fleet.K:
+        raise ValueError(f"lane {k!r} out of range 0..{fleet.K - 1}")
+    names = ("state", "next_state", "action", "terminal", "reward")
+    cols = [np.asarray(x) for x in (state, next_state, action, terminal)]
+    cols.append(np.asarray(reward, dtype=np.float64))
+    lengths = {len(c) for c in cols if c.ndim == 1}
+    if len(lengths) > 1 or any(c.ndim > 1 for c in cols):
+        shapes = {name: c.shape for name, c in zip(names, cols)}
+        raise ValueError(f"transition columns must be scalars or equal-length 1-D: {shapes}")
+    for name, c in zip(names[:4], cols):
+        if c.size and c.dtype.kind not in ("biu" if name == "terminal" else "iu"):
+            raise ValueError(f"{name} must be integers, got dtype {c.dtype}")
+    rows = _rows_in(out, lengths.pop() if lengths else 1)
+    for j in range(4):
+        rows[j] = cols[j]
+    # Viewed unsigned, a negative index is huge: one compare checks both ends.
+    bad = rows[:3].view(_U64) >= _index_bounds(S, A)
+    if bad.any():
+        j, i = (int(x) for x in np.argwhere(bad)[0])
+        raise ValueError(
+            f"{names[j]} {int(rows[j, i])} out of range [0, {(S, S, A)[j]}) "
+            f"in transition {i}"
+        )
+    rows[4] = ops.quantize_array(cols[4], fleet.config.q_format)
+    return rows
+
+
+def _rows_in(out: np.ndarray | None, n: int) -> np.ndarray:
+    """A contiguous ``(5, n)`` int64 block: the head of ``out`` when it
+    has room, else a fresh array."""
+    if out is not None and out.size >= 5 * n:
+        return out[: 5 * n].reshape(5, n)
+    return np.empty((5, n), dtype=np.int64)
+
+
 @runtime_checkable
 class FleetBackend(Protocol):
     """The lane-oriented interface every fleet backend implements.
@@ -184,9 +274,11 @@ class FleetBackend(Protocol):
     # driven by externally supplied transitions instead of the built-in
     # environment tables: ``reset_lane`` re-seeds lane ``k`` to the
     # pristine state of a fresh lane with the given salt,
-    # ``apply_transition`` retires one client-supplied ``(s, a, r, s')``
-    # sample through the full 4-stage datapath (one policy draw for
-    # e-greedy update policies, none for greedy), and ``query_action``
+    # ``apply_transition`` retires client-supplied ``(s, a, r, s')``
+    # samples — one, or equal-length columns of them, validated by
+    # :func:`lane_transitions` before any is applied — through stages
+    # 2-4 (one policy draw per row for e-greedy update policies, none for
+    # greedy) and returns the last written Q, and ``query_action``
     # recommends an action from the committed tables (consuming one
     # policy draw only when ``explore=True``).  All three are
     # bit-identical across backends for the same salt and call sequence.
@@ -196,11 +288,11 @@ class FleetBackend(Protocol):
     def apply_transition(
         self,
         k: int,
-        state: int,
-        action: int,
-        reward: float,
-        next_state: int,
-        terminal: bool = False,
+        state,
+        action,
+        reward,
+        next_state,
+        terminal=False,
     ) -> int: ...
 
     def query_action(self, k: int, state: int, explore: bool = True) -> int: ...

@@ -28,11 +28,17 @@ shared object and called through :mod:`ctypes` — no third-party packages.
 Without a compiler, construction raises :class:`NativeBackendUnavailableError`;
 the vectorized backend runs the same program everywhere.
 
-Everything else — storage layout, checkpointing, the serve-facing
-``reset_lane``/``apply_transition``/``query_action`` lane ops, lane
-state, q_float views — is inherited unchanged from the vectorized
-backend: the kernel mutates the very same arrays in place, so mixing
-fused ``run()`` calls with the inherited per-step surfaces stays
+The stage-2/3/4 retire body (update-policy draw, wide accumulate, one
+round and clamp, write-back with the Qmax rule, rule tables, lag latches,
+episode count) is written once, as a ``static inline`` C function with two
+callers: the fused ``run()`` loop, which feeds it the environment's
+samples, and the serve lane op :meth:`NativeFleetBackend.apply_transition`,
+which feeds it a client's batch of ``(s, a, r, s')`` rows in one call.
+
+Everything else — storage layout, checkpointing, ``reset_lane`` and
+``query_action``, lane state, q_float views — is inherited unchanged from
+the vectorized backend: the kernel mutates the very same arrays in place,
+so mixing fused calls with the inherited per-step surfaces stays
 bit-identical.
 """
 
@@ -50,6 +56,7 @@ import numpy as np
 from ..core.config import QTAccelConfig
 from ..envs.base import DenseMdp
 from ..rtl.rng import DECIMATION
+from .base import lane_transitions
 from .vectorized import VectorizedFleetBackend
 
 _I64 = np.int64
@@ -102,222 +109,282 @@ def native_available() -> tuple[bool, str]:
 # The fused kernel, compiled once per source hash
 # ---------------------------------------------------------------------- #
 
+#: Fields of the kernel context ``qt_ctx``, in order: table addresses,
+#: then constants.  Python packs one int64 per field into an array the
+#: backend keeps; the C struct below is generated from these names.
+_CTX_POINTERS = (
+    "q", "qmax", "qmax_action", "momentum", "target", "target_count",
+    "arch_state", "forwarded", "prev_pair", "prev_state", "prev_q",
+    "prev_qmax", "prev_qmax_action", "s_start", "s_action", "s_policy",
+    "leap", "nxt", "rew", "term", "starts", "counts",
+)
+_CTX_SCALARS = (
+    "K", "S", "A", "n_starts", "dec", "dec_mask", "het",
+    "egreedy_cut", "behavior_random", "update_greedy", "on_policy",
+    "rule_kind", "qmax_mode", "one_minus_alpha", "alpha", "alpha_gamma",
+    "beta", "tau", "one_minus_tau", "shift", "nearest", "saturate",
+    "raw_min", "raw_max", "span", "signed_fmt", "sync_period",
+)
+
 _C_SOURCE = r"""
 /* qtaccel fused fleet kernel -- the one executable definition of the
- * fused lock-step program.  Bit-identity with the vectorized numpy
- * program is asserted by the test suite; arithmetic right shift on
- * negative int64_t (gcc/clang behaviour) is assumed. */
+ * stage-2/3/4 retire body, shared by the fused lock-step program and the
+ * batched lane op.  Bit-identity with the vectorized numpy program and
+ * the functional simulator is asserted by the test suite; arithmetic
+ * right shift on negative int64_t (gcc/clang behaviour) is assumed. */
 #include <stdint.h>
 
-void qtaccel_fleet_steps(
-    int64_t n_steps, int64_t K, int64_t S, int64_t A, int64_t n_starts,
-    int64_t *q, int64_t *qmax, int64_t *qmax_action,
-    int64_t *momentum, int64_t *target, int64_t *target_count,
-    int64_t *arch_state, int64_t *forwarded,
-    int64_t *prev_pair, int64_t *prev_state, int64_t *prev_q,
-    int64_t *prev_qmax, int64_t *prev_qmax_action,
-    int64_t *s_start, int64_t *s_action, int64_t *s_policy,
-    int64_t *leap, int64_t dec, int64_t dec_mask,
-    int64_t *nxt, int64_t *rew, int64_t *term, int64_t *starts,
-    int64_t het,
-    int64_t egreedy_cut, int64_t behavior_random, int64_t update_greedy,
-    int64_t on_policy, int64_t rule_kind, int64_t qmax_mode,
-    int64_t one_minus_alpha, int64_t alpha, int64_t alpha_gamma,
-    int64_t beta, int64_t tau, int64_t one_minus_tau,
-    int64_t shift, int64_t nearest, int64_t saturate,
-    int64_t raw_min, int64_t raw_max, int64_t span, int64_t signed_fmt,
-    int64_t sync_period, int64_t *counts)
+typedef struct {
+@CTX_FIELDS@
+} qt_ctx;
+
+/* One lane's latches, held in registers across a run of retires. */
+typedef struct {
+    int64_t st, fw, sp, p_pair, p_state, p_q, p_qm, p_qa, tc;
+} qt_lane;
+
+static inline int64_t qt_draw(const qt_ctx *c, int64_t s)
 {
-    const int64_t SA = S * A;
-    const int a_pow2 = (A & (A - 1)) == 0;
-    const int st_pow2 = (n_starts & (n_starts - 1)) == 0;
-    int64_t ex_total = 0, er_total = 0, ep_total = 0;
-    for (int64_t k = 0; k < K; k++) {
-        const int64_t sa_base = k * SA;
-        const int64_t s_base = k * S;
-        const int64_t e_sa = het ? k * SA : 0;
-        const int64_t e_s = het ? k * S : 0;
-        const int64_t e_start = het ? k * n_starts : 0;
-        int64_t st = arch_state[k];
-        int64_t fw = forwarded[k];
-        int64_t ss = s_start[k];
-        int64_t sa_rng = s_action[k];
-        int64_t sp = s_policy[k];
-        int64_t p_state = prev_state[k];
-        int64_t p_qa = prev_qmax_action[k];
-        int64_t tc = (rule_kind == 2) ? target_count[k] : 0;
-        int64_t p_pair = prev_pair[k];
-        int64_t p_q = prev_q[k];
-        int64_t p_qm = prev_qmax[k];
+    return (s >> c->dec) ^ c->leap[s & c->dec_mask];
+}
+
+static inline int64_t qt_reduce(int64_t u, int64_t m)
+{
+    return ((m & (m - 1)) == 0) ? (u & (m - 1)) : (u % m);
+}
+
+static inline qt_lane qt_lane_load(const qt_ctx *c, int64_t k)
+{
+    qt_lane L;
+    L.st = c->arch_state[k];
+    L.fw = c->forwarded[k];
+    L.sp = c->s_policy[k];
+    L.p_pair = c->prev_pair[k];
+    L.p_state = c->prev_state[k];
+    L.p_q = c->prev_q[k];
+    L.p_qm = c->prev_qmax[k];
+    L.p_qa = c->prev_qmax_action[k];
+    L.tc = (c->rule_kind == 2) ? c->target_count[k] : 0;
+    return L;
+}
+
+static inline void qt_lane_store(const qt_ctx *c, int64_t k, const qt_lane *L)
+{
+    c->arch_state[k] = L->st;
+    c->forwarded[k] = L->fw;
+    c->s_policy[k] = L->sp;
+    c->prev_pair[k] = L->p_pair;
+    c->prev_state[k] = L->p_state;
+    c->prev_q[k] = L->p_q;
+    c->prev_qmax[k] = L->p_qm;
+    c->prev_qmax_action[k] = L->p_qa;
+    if (c->rule_kind == 2) c->target_count[k] = L->tc;
+}
+
+/* One rounding shift and one overflow clamp of a wide accumulator. */
+static inline int64_t qt_round_clamp(const qt_ctx *c, int64_t acc)
+{
+    const int64_t shift = c->shift;
+    int64_t v;
+    if (shift == 0) {
+        v = acc;
+    } else if (c->nearest) {
+        const int64_t half = (int64_t)1 << (shift - 1);
+        v = (acc >= 0) ? ((acc + half) >> shift) : -((-acc + half) >> shift);
+    } else {
+        v = acc >> shift;
+    }
+    if (c->saturate) {
+        if (v < c->raw_min) v = c->raw_min;
+        else if (v > c->raw_max) v = c->raw_max;
+    } else {
+        v &= c->span - 1;
+        if (c->signed_fmt && v > c->raw_max) v -= c->span;
+    }
+    return v;
+}
+
+/* Stages 2-4 of one sample (state, action, raw reward r, s_next) on lane
+ * k.  counts: exploits, explores, episodes.  Returns the written Q. */
+static inline int64_t qt_retire(const qt_ctx *c, qt_lane *L, int64_t k,
+                                int64_t state, int64_t action, int64_t r,
+                                int64_t s_next, int terminal, int64_t *counts)
+{
+    const int64_t A = c->A, SA = c->S * A;
+    const int64_t sa_base = k * SA, s_base = k * c->S;
+    int64_t *q = c->q, *qmax = c->qmax, *qmax_action = c->qmax_action;
+    const int64_t pair = state * A + action;
+    const int64_t isa = sa_base + pair;
+    const int64_t q_sa = q[isa];
+
+    /* stage 2: update policy */
+    const int64_t ins = s_base + s_next;
+    int64_t a_next, q_next;
+    if (c->update_greedy) {
+        a_next = qmax_action[ins];
+        q_next = (c->rule_kind == 2) ? c->target[sa_base + s_next * A + a_next]
+                                     : qmax[ins];
+        counts[0]++;
+    } else {
+        L->sp = qt_draw(c, L->sp);
+        if (L->sp < c->egreedy_cut) {
+            a_next = qmax_action[ins];
+            q_next = qmax[ins];
+            counts[0]++;
+        } else {
+            a_next = qt_reduce(L->sp, A);
+            q_next = q[sa_base + s_next * A + a_next];
+            counts[1]++;
+        }
+    }
+    if (terminal)
+        q_next = 0;
+
+    /* stage 3: wide accumulate, one round, one clamp */
+    int64_t acc = c->one_minus_alpha * q_sa + c->alpha * r + c->alpha_gamma * q_next;
+    if (c->rule_kind == 1)
+        acc += c->beta * (q_sa - c->momentum[isa]);
+    const int64_t q_new = qt_round_clamp(c, acc);
+
+    /* stage 4: write-back + Qmax rule */
+    const int64_t ist = s_base + state;
+    const int64_t cur_val = qmax[ist];
+    const int64_t cur_act = qmax_action[ist];
+    q[isa] = q_new;
+    if (c->qmax_mode == 0) { /* exact: first-max row scan */
+        const int64_t row = sa_base + state * A;
+        int64_t best = 0, best_val = q[row];
+        for (int64_t a = 1; a < A; a++) {
+            if (q[row + a] > best_val) {
+                best_val = q[row + a];
+                best = a;
+            }
+        }
+        qmax[ist] = best_val;
+        qmax_action[ist] = best;
+    } else {
+        int upd = q_new > cur_val;
+        if (c->qmax_mode == 2 && action == cur_act) upd = 1;
+        if (upd) {
+            qmax[ist] = q_new;
+            qmax_action[ist] = action;
+        }
+    }
+
+    if (c->rule_kind == 1) {
+        c->momentum[isa] = q_sa;
+    } else if (c->rule_kind == 2) {
+        c->target[isa] = qt_round_clamp(
+            c, c->one_minus_tau * c->target[isa] + c->tau * q_new);
+        L->tc++;
+        if (c->sync_period > 0 && L->tc >= c->sync_period) {
+            for (int64_t i = 0; i < SA; i++)
+                c->target[sa_base + i] = q[sa_base + i];
+            L->tc = 0;
+        }
+    }
+
+    /* lag latches + episode bookkeeping */
+    L->p_pair = pair;
+    L->p_state = state;
+    L->p_q = q_sa;
+    L->p_qm = cur_val;
+    L->p_qa = cur_act;
+    if (terminal) {
+        counts[2]++;
+        L->st = -1;
+        if (c->on_policy) L->fw = -1;
+    } else {
+        L->st = s_next;
+        if (c->on_policy) L->fw = a_next;
+    }
+    return q_new;
+}
+
+/* The fused lock-step program: n_steps environment samples on every lane
+ * (lane-outer, step-inner).  Stage 1 draws the state and behaviour
+ * action; the environment tables supply r and s'. */
+void qtaccel_fleet_steps(const qt_ctx *ctx, int64_t n_steps)
+{
+    const qt_ctx cv = *ctx; /* a private copy: table stores cannot alias it */
+    const qt_ctx *c = &cv;
+    const int64_t A = c->A, S = c->S, n_starts = c->n_starts;
+    int64_t counts[3] = {0, 0, 0};
+    for (int64_t k = 0; k < c->K; k++) {
+        const int64_t e_sa = c->het ? k * S * A : 0;
+        const int64_t e_s = c->het ? k * S : 0;
+        const int64_t e_start = c->het ? k * n_starts : 0;
+        qt_lane L = qt_lane_load(c, k);
+        int64_t ss = c->s_start[k];
+        int64_t sa_rng = c->s_action[k];
         for (int64_t n = 0; n < n_steps; n++) {
             /* stage 1: state + behaviour action */
-            const int restart = st < 0;
+            const int restart = L.st < 0;
             int64_t state, action;
             if (restart) {
-                ss = (ss >> dec) ^ leap[ss & dec_mask];
-                int64_t idx = st_pow2 ? (ss & (n_starts - 1)) : (ss % n_starts);
-                state = starts[e_start + idx];
+                ss = qt_draw(c, ss);
+                state = c->starts[e_start + qt_reduce(ss, n_starts)];
             } else {
-                state = st;
+                state = L.st;
             }
-            if (behavior_random) {
-                sa_rng = (sa_rng >> dec) ^ leap[sa_rng & dec_mask];
-                action = a_pow2 ? (sa_rng & (A - 1)) : (sa_rng % A);
+            if (c->behavior_random) {
+                sa_rng = qt_draw(c, sa_rng);
+                action = qt_reduce(sa_rng, A);
             } else if (restart) {
-                sp = (sp >> dec) ^ leap[sp & dec_mask];
-                if (sp < egreedy_cut) {
-                    action = (state == p_state) ? p_qa
-                                                : qmax_action[s_base + state];
+                L.sp = qt_draw(c, L.sp);
+                if (L.sp < c->egreedy_cut) {
+                    action = (state == L.p_state) ? L.p_qa
+                                                  : c->qmax_action[k * S + state];
                 } else {
-                    action = a_pow2 ? (sp & (A - 1)) : (sp % A);
+                    action = qt_reduce(L.sp, A);
                 }
             } else {
-                action = fw;
+                action = L.fw;
             }
 
             /* environment tables */
             const int64_t pair = state * A + action;
-            const int64_t s_next = nxt[e_sa + pair];
-            const int64_t r = rew[e_sa + pair];
-            const int terminal = term[e_s + s_next] != 0;
-            const int64_t isa = sa_base + pair;
-            const int64_t q_sa = q[isa];
-
-            /* stage 2: update policy */
-            const int64_t ins = s_base + s_next;
-            int64_t a_next, q_next;
-            if (update_greedy) {
-                a_next = qmax_action[ins];
-                q_next = (rule_kind == 2)
-                             ? target[sa_base + s_next * A + a_next]
-                             : qmax[ins];
-                ex_total++;
-            } else {
-                sp = (sp >> dec) ^ leap[sp & dec_mask];
-                if (sp < egreedy_cut) {
-                    a_next = qmax_action[ins];
-                    q_next = qmax[ins];
-                    ex_total++;
-                } else {
-                    a_next = a_pow2 ? (sp & (A - 1)) : (sp % A);
-                    q_next = q[sa_base + s_next * A + a_next];
-                    er_total++;
-                }
-            }
-            if (terminal)
-                q_next = 0;
-
-            /* stage 3: wide accumulate, one round, one clamp */
-            int64_t acc = one_minus_alpha * q_sa + alpha * r
-                          + alpha_gamma * q_next;
-            if (rule_kind == 1)
-                acc += beta * (q_sa - momentum[isa]);
-            int64_t q_new;
-            if (shift == 0) {
-                q_new = acc;
-            } else if (nearest) {
-                const int64_t half = (int64_t)1 << (shift - 1);
-                q_new = (acc >= 0) ? ((acc + half) >> shift)
-                                   : -((-acc + half) >> shift);
-            } else {
-                q_new = acc >> shift;
-            }
-            if (saturate) {
-                if (q_new < raw_min) q_new = raw_min;
-                else if (q_new > raw_max) q_new = raw_max;
-            } else {
-                q_new &= span - 1;
-                if (signed_fmt && q_new > raw_max) q_new -= span;
-            }
-
-            /* stage 4: write-back + Qmax rule */
-            const int64_t ist = s_base + state;
-            const int64_t cur_val = qmax[ist];
-            const int64_t cur_act = qmax_action[ist];
-            q[isa] = q_new;
-            if (qmax_mode == 0) { /* exact: first-max row scan */
-                const int64_t row = sa_base + state * A;
-                int64_t best = 0, best_val = q[row];
-                for (int64_t a = 1; a < A; a++) {
-                    if (q[row + a] > best_val) {
-                        best_val = q[row + a];
-                        best = a;
-                    }
-                }
-                qmax[ist] = best_val;
-                qmax_action[ist] = best;
-            } else {
-                int upd = q_new > cur_val;
-                if (qmax_mode == 2 && action == cur_act) upd = 1;
-                if (upd) {
-                    qmax[ist] = q_new;
-                    qmax_action[ist] = action;
-                }
-            }
-
-            if (rule_kind == 1) {
-                momentum[isa] = q_sa;
-            } else if (rule_kind == 2) {
-                const int64_t acc2 = one_minus_tau * target[isa]
-                                     + tau * q_new;
-                int64_t t_new;
-                if (shift == 0) {
-                    t_new = acc2;
-                } else if (nearest) {
-                    const int64_t half = (int64_t)1 << (shift - 1);
-                    t_new = (acc2 >= 0) ? ((acc2 + half) >> shift)
-                                        : -((-acc2 + half) >> shift);
-                } else {
-                    t_new = acc2 >> shift;
-                }
-                if (saturate) {
-                    if (t_new < raw_min) t_new = raw_min;
-                    else if (t_new > raw_max) t_new = raw_max;
-                } else {
-                    t_new &= span - 1;
-                    if (signed_fmt && t_new > raw_max) t_new -= span;
-                }
-                target[isa] = t_new;
-                tc++;
-                if (sync_period > 0 && tc >= sync_period) {
-                    for (int64_t i = 0; i < SA; i++)
-                        target[sa_base + i] = q[sa_base + i];
-                    tc = 0;
-                }
-            }
-
-            /* lag latches + episode bookkeeping */
-            p_pair = pair;
-            p_state = state;
-            p_q = q_sa;
-            p_qm = cur_val;
-            p_qa = cur_act;
-            if (terminal) {
-                ep_total++;
-                st = -1;
-                if (on_policy) fw = -1;
-            } else {
-                st = s_next;
-                if (on_policy) fw = a_next;
-            }
+            const int64_t s_next = c->nxt[e_sa + pair];
+            qt_retire(c, &L, k, state, action, c->rew[e_sa + pair], s_next,
+                      c->term[e_s + s_next] != 0, counts);
         }
-        arch_state[k] = st;
-        forwarded[k] = fw;
-        s_start[k] = ss;
-        s_action[k] = sa_rng;
-        s_policy[k] = sp;
-        prev_pair[k] = p_pair;
-        prev_state[k] = p_state;
-        prev_q[k] = p_q;
-        prev_qmax[k] = p_qm;
-        prev_qmax_action[k] = p_qa;
-        if (rule_kind == 2) target_count[k] = tc;
+        qt_lane_store(c, k, &L);
+        c->s_start[k] = ss;
+        c->s_action[k] = sa_rng;
     }
-    counts[0] += ex_total;
-    counts[1] += er_total;
-    counts[2] += ep_total;
+    c->counts[0] = counts[0];
+    c->counts[1] = counts[1];
+    c->counts[2] = counts[2];
 }
-"""
+
+/* The batched lane op: n external transitions on lane k, in order.
+ * cols is 5 x n: state, next_state, action, terminal and raw reward
+ * columns -- validated by the caller.  Returns the last written Q. */
+int64_t qtaccel_lane_transitions(const qt_ctx *ctx, int64_t k, int64_t n,
+                                 const int64_t *cols)
+{
+    const qt_ctx cv = *ctx;
+    const qt_ctx *c = &cv;
+    const int64_t *s = cols, *ns = cols + n, *a = cols + 2 * n;
+    const int64_t *t = cols + 3 * n, *r = cols + 4 * n;
+    int64_t counts[3] = {0, 0, 0};
+    int64_t q_new = 0;
+    qt_lane L = qt_lane_load(c, k);
+    for (int64_t i = 0; i < n; i++)
+        q_new = qt_retire(c, &L, k, s[i], a[i], r[i], ns[i], t[i] != 0, counts);
+    qt_lane_store(c, k, &L);
+    c->counts[0] = counts[0];
+    c->counts[1] = counts[1];
+    c->counts[2] = counts[2];
+    return q_new;
+}
+""".replace(
+    "@CTX_FIELDS@",
+    "\n".join(
+        [f"    int64_t *{name};" for name in _CTX_POINTERS]
+        + [f"    int64_t {name};" for name in _CTX_SCALARS]
+    ),
+)
 
 _KERNEL = None
 
@@ -351,9 +418,9 @@ def _build_library(compiler: str) -> str:
 
 
 def _get_kernel():
-    """The C kernel as a Python callable (built and loaded once per
-    process); raises :class:`NativeBackendUnavailableError` without a
-    C compiler."""
+    """The kernel's two entry points, ``(fleet_steps, lane_transitions)``,
+    as typed ctypes functions (built and loaded once per process); raises
+    :class:`NativeBackendUnavailableError` without a C compiler."""
     global _KERNEL
     compiler = _find_compiler()
     if compiler is None:
@@ -361,20 +428,19 @@ def _get_kernel():
     if _KERNEL is None:
         import ctypes
 
+        if ctypes.sizeof(ctypes.c_void_p) != 8:
+            raise NativeBackendUnavailableError(
+                "NativeFleetBackend: the kernel context packs addresses "
+                "into int64 and needs a 64-bit platform"
+            )
         lib = ctypes.CDLL(_build_library(compiler))
-        fn = lib.qtaccel_fleet_steps
-        fn.restype = None
-        i64p = ctypes.POINTER(ctypes.c_int64)
-
-        def call(*args):
-            fn(*[
-                a.ctypes.data_as(i64p)
-                if isinstance(a, np.ndarray)
-                else ctypes.c_int64(int(a))
-                for a in args
-            ])
-
-        _KERNEL = call
+        steps = lib.qtaccel_fleet_steps
+        steps.argtypes = (ctypes.c_void_p, ctypes.c_int64)
+        steps.restype = None
+        lane = lib.qtaccel_lane_transitions
+        lane.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+        lane.restype = ctypes.c_int64
+        _KERNEL = (steps, lane)
     return _KERNEL
 
 
@@ -386,9 +452,13 @@ class NativeFleetBackend(VectorizedFleetBackend):
     C compiler exists and
     :class:`~repro.algorithms.UnsupportedRuleError` when the configured
     update rule declares no compiled lowering
-    (:class:`~repro.algorithms.RuleKernel`).  Every inherited surface —
-    checkpoints, lane ops, ``q_float`` — operates on the same arrays the
-    kernel mutates, so mixing them with fused runs is bit-safe.
+    (:class:`~repro.algorithms.RuleKernel`).  ``run()`` and
+    ``apply_transition`` are the kernel's two entry points; every
+    inherited surface — checkpoints, ``reset_lane``, ``query_action``,
+    ``q_float`` — operates on the same arrays the kernel mutates, so
+    mixing them with kernel calls is bit-safe.  Rebinding a table
+    attribute to new storage must go through :meth:`_rebind_flat_views`,
+    which re-packs the addresses the kernel reads.
     """
 
     _TELEMETRY_NAME = "native"
@@ -401,6 +471,9 @@ class NativeFleetBackend(VectorizedFleetBackend):
     #: attached (the session is pulsed between chunks; without a session
     #: the whole run is one invocation).
     PULSE_CHUNK = 256
+
+    #: Rows of the preallocated lane-op buffer (larger batches allocate).
+    LANE_ROWS = 4096
 
     def __init__(
         self,
@@ -425,7 +498,7 @@ class NativeFleetBackend(VectorizedFleetBackend):
                 f"kernel does not lower; use the vectorized backend or add "
                 f"a RuleKernel lowering"
             )
-        self._kernel_fn = _get_kernel()
+        self._steps_fn, self._lane_fn = _get_kernel()
 
         # Kernel-side constants and buffers.  The terminal flags become
         # an int64 copy once (env tables are immutable after build).
@@ -433,61 +506,133 @@ class NativeFleetBackend(VectorizedFleetBackend):
         self._dummy_i64 = np.zeros(1, dtype=_I64)
         self._leap = self._bank_start._leap_table_np(DECIMATION)
         self._terminal_i64 = self._terminal_flat.astype(_I64)
+        self._rows = np.empty(5 * self.LANE_ROWS, dtype=_I64)
         coefs = self._rule_coefs
         qf = config.q_format
-        self._static_args = (
-            int(self._egreedy_cut),
-            int(config.behavior_policy == "random"),
-            int(config.update_policy == "greedy"),
-            int(config.is_on_policy),
-            int(rk.kernel_id),
-            _QMAX_MODES[config.qmax_mode],
-            int(self._one_minus_alpha),
-            int(self._alpha),
-            int(self._alpha_gamma),
-            int(coefs.beta),
-            int(coefs.tau),
-            int(coefs.one_minus_tau),
-            int(config.coef_format.frac),
-            int(qf.rounding == "nearest"),
-            int(qf.overflow == "saturate"),
-            int(qf.raw_min),
-            int(qf.raw_max),
-            1 << qf.wordlen,
-            int(qf.signed),
-            int(config.target_sync_period or 0),
+        self._consts = {
+            "K": self.K,
+            "S": self.S,
+            "A": self.A,
+            "n_starts": self._n_starts,
+            "dec": DECIMATION,
+            "dec_mask": (1 << DECIMATION) - 1,
+            "het": int(self._env_sa_off is not None),
+            "egreedy_cut": int(self._egreedy_cut),
+            "behavior_random": int(config.behavior_policy == "random"),
+            "update_greedy": int(config.update_policy == "greedy"),
+            "on_policy": int(config.is_on_policy),
+            "rule_kind": int(rk.kernel_id),
+            "qmax_mode": _QMAX_MODES[config.qmax_mode],
+            "one_minus_alpha": int(self._one_minus_alpha),
+            "alpha": int(self._alpha),
+            "alpha_gamma": int(self._alpha_gamma),
+            "beta": int(coefs.beta),
+            "tau": int(coefs.tau),
+            "one_minus_tau": int(coefs.one_minus_tau),
+            "shift": int(config.coef_format.frac),
+            "nearest": int(qf.rounding == "nearest"),
+            "saturate": int(qf.overflow == "saturate"),
+            "raw_min": int(qf.raw_min),
+            "raw_max": int(qf.raw_max),
+            "span": 1 << qf.wordlen,
+            "signed_fmt": int(qf.signed),
+            "sync_period": int(config.target_sync_period or 0),
+        }
+        self._bind_context()
+
+    def _rebind_flat_views(self) -> None:
+        """Re-derive the flat views, then the kernel context holding their
+        addresses (construction binds it once the constants exist)."""
+        super()._rebind_flat_views()
+        if hasattr(self, "_consts"):
+            self._bind_context()
+
+    def _bind_context(self) -> None:
+        """Pack the table addresses and constants into the ``qt_ctx``
+        array both kernel entry points read, so a call marshals three
+        integers instead of ~50 arguments."""
+        tables = {
+            "q": self._q_flat,
+            "qmax": self._qmax_flat,
+            "qmax_action": self._qmax_action_flat,
+            "momentum": self._momentum_flat if self.momentum is not None else self._dummy_i64,
+            "target": self._target_flat if self.target is not None else self._dummy_i64,
+            "target_count": (
+                self._target_count if self._target_count is not None else self._dummy_i64
+            ),
+            "arch_state": self._arch_state,
+            "forwarded": self._forwarded,
+            "prev_pair": self._prev_pair,
+            "prev_state": self._prev_state,
+            "prev_q": self._prev_q,
+            "prev_qmax": self._prev_qmax,
+            "prev_qmax_action": self._prev_qmax_action,
+            "s_start": self._bank_start.states,
+            "s_action": self._bank_action.states,
+            "s_policy": self._bank_policy.states,
+            "leap": self._leap,
+            "nxt": self._next_flat,
+            "rew": self._rewards_flat,
+            "term": self._terminal_i64,
+            "starts": self._starts_flat,
+            "counts": self._counts,
+        }
+        for name, arr in tables.items():
+            if arr.dtype != _I64 or not arr.flags.c_contiguous:
+                raise TypeError(f"kernel table {name!r} must be contiguous int64")
+        self._ctx = np.array(
+            [tables[name].ctypes.data for name in _CTX_POINTERS]
+            + [self._consts[name] for name in _CTX_SCALARS],
+            dtype=_I64,
         )
+        self._ctx_addr = self._ctx.ctypes.data
+        self._rows_addr = self._rows.ctypes.data
 
     def telemetry_snapshot(self) -> dict:
         snap = super().telemetry_snapshot()
         snap["kernel"] = self.kernel_tier
         return snap
 
+    def _add_counts(self) -> None:
+        """Fold the last kernel call's exploit/explore/episode counts
+        into the fleet stats."""
+        exploits, explores, episodes = self._counts.tolist()
+        stats = self.stats
+        stats.exploits += exploits
+        stats.explores += explores
+        stats.episodes += episodes
+
     def _invoke(self, n_steps: int) -> None:
         """One fused kernel pass of ``n_steps`` per lane."""
-        counts = self._counts
-        counts[:] = 0
-        self._kernel_fn(
-            n_steps, self.K, self.S, self.A, self._n_starts,
-            self._q_flat, self._qmax_flat, self._qmax_action_flat,
-            self._momentum_flat if self.momentum is not None else self._dummy_i64,
-            self._target_flat if self.target is not None else self._dummy_i64,
-            self._target_count if self._target_count is not None else self._dummy_i64,
-            self._arch_state, self._forwarded,
-            self._prev_pair, self._prev_state, self._prev_q,
-            self._prev_qmax, self._prev_qmax_action,
-            self._bank_start.states, self._bank_action.states,
-            self._bank_policy.states,
-            self._leap, DECIMATION, (1 << DECIMATION) - 1,
-            self._next_flat, self._rewards_flat, self._terminal_i64,
-            self._starts_flat, int(self._env_sa_off is not None),
-            *self._static_args,
-            counts,
+        self._steps_fn(self._ctx_addr, n_steps)
+        self._add_counts()
+
+    def apply_transition(
+        self,
+        k: int,
+        state,
+        action,
+        reward,
+        next_state,
+        terminal=False,
+    ) -> int:
+        """Apply external ``(s, a, r, s')`` transitions to lane ``k`` in
+        one kernel call.
+
+        Takes scalars or equal-length 1-D columns (validated and quantised
+        by :func:`~repro.backends.base.lane_transitions`, which raises
+        :class:`ValueError` before any row is applied) and retires the rows
+        in order through the same retire body as the fused ``run()`` —
+        bit-identical to the vectorized per-row loop.  Returns the raw Q
+        value the last row wrote (0 for an empty batch).
+        """
+        rows = lane_transitions(
+            self, k, state, action, reward, next_state, terminal, out=self._rows
         )
-        stats = self.stats
-        stats.exploits += int(counts[0])
-        stats.explores += int(counts[1])
-        stats.episodes += int(counts[2])
+        addr = self._rows_addr if rows.base is self._rows else rows.ctypes.data
+        q_new = self._lane_fn(self._ctx_addr, int(k), rows.shape[1], addr)
+        self._add_counts()
+        return q_new
 
     def step(self) -> None:
         if self.guard is not None:

@@ -27,7 +27,7 @@ from ..core.functional import FunctionalSimulator
 from ..core.policies import PolicyDraws
 from ..envs.base import DenseMdp
 from ..fixedpoint import ops
-from .base import BatchStats, normalize_fleet
+from .base import BatchStats, lane_transitions, normalize_fleet
 
 
 class ScalarFleetBackend:
@@ -156,16 +156,24 @@ class ScalarFleetBackend:
     def apply_transition(
         self,
         k: int,
-        state: int,
-        action: int,
-        reward: float,
-        next_state: int,
-        terminal: bool = False,
+        state,
+        action,
+        reward,
+        next_state,
+        terminal=False,
     ) -> int:
-        """Apply one external transition to lane ``k`` (see
+        """Apply external transitions to lane ``k`` — scalars or
+        equal-length 1-D columns, validated up front by
+        :func:`~repro.backends.base.lane_transitions` — one
         :meth:`FunctionalSimulator.apply_transition
-        <repro.core.functional.FunctionalSimulator.apply_transition>`)."""
-        q_new = self.sims[k].apply_transition(state, action, reward, next_state, terminal)
+        <repro.core.functional.FunctionalSimulator.apply_transition>` per
+        row.  Returns the raw Q value the last row wrote."""
+        rows = lane_transitions(self, k, state, action, reward, next_state, terminal)
+        sim, fmt = self.sims[k], self.config.q_format
+        q_new = 0
+        for s, ns, a, t, r in zip(*rows.tolist()):
+            # r is already raw; its exact float re-quantises to itself.
+            q_new = sim.apply_transition(s, a, fmt.to_float(r), ns, t != 0)
         self._sync_stats()
         return q_new
 

@@ -883,6 +883,7 @@ class ShardedFleetBackend:
     # the same shard concurrently.
     reset_lane = VectorizedFleetBackend.reset_lane
     apply_transition = VectorizedFleetBackend.apply_transition
+    _retire_row = VectorizedFleetBackend._retire_row
     query_action = VectorizedFleetBackend.query_action
     _lane_draw = VectorizedFleetBackend._lane_draw
     _bind_rule = VectorizedFleetBackend._bind_rule

@@ -38,7 +38,7 @@ from ..fixedpoint import ops
 from ..rtl.lfsr import Lfsr
 from ..rtl.lfsr_batch import LfsrBank
 from ..rtl.rng import DECIMATION
-from .base import BatchStats, normalize_fleet
+from .base import BatchStats, lane_transitions, normalize_fleet
 
 _I64 = np.int64
 
@@ -544,37 +544,45 @@ class VectorizedFleetBackend:
     def apply_transition(
         self,
         k: int,
-        state: int,
-        action: int,
-        reward: float,
-        next_state: int,
-        terminal: bool = False,
+        state,
+        action,
+        reward,
+        next_state,
+        terminal=False,
     ) -> int:
-        """Apply one external ``(s, a, r, s')`` transition to lane ``k``.
+        """Apply external ``(s, a, r, s')`` transitions to lane ``k``.
+
+        Takes scalars or equal-length 1-D columns, validated and quantised
+        by :func:`~repro.backends.base.lane_transitions` (a
+        :class:`ValueError` before any row is applied), and retires the
+        rows in order.  Returns the raw Q value the last row wrote (0 for
+        an empty batch).
+        """
+        rows = lane_transitions(self, k, state, action, reward, next_state, terminal)
+        q_new = 0
+        for s, ns, a, t, r in zip(*rows.tolist()):
+            q_new = self._retire_row(k, s, a, r, ns, t != 0)
+        return q_new
+
+    def _retire_row(
+        self, k: int, state: int, action: int, r: int, next_state: int, terminal: bool
+    ) -> int:
+        """Stages 2-4 of one validated external transition (raw reward
+        ``r``) on lane ``k`` — the per-row reference the compiled lane op
+        is tested against.
 
         Scalar twin of :meth:`FunctionalSimulator.apply_transition
         <repro.core.functional.FunctionalSimulator.apply_transition>`:
-        same reward quantisation point, same single update-policy draw
-        for e-greedy configs, same single-rounding datapath call and
-        stage-4 Qmax rule, same lag/episode latch updates — so a lane
-        driven through this surface stays bit-identical to a dedicated
-        functional simulator fed the same calls.  Returns the raw
-        written Q value.
+        same single update-policy draw for e-greedy configs, same
+        single-rounding datapath call and stage-4 Qmax rule, same
+        lag/episode latch updates — so a lane driven through this surface
+        stays bit-identical to a dedicated functional simulator fed the
+        same calls.  Returns the raw written Q value.
         """
         cfg = self.config
         A = self.A
-        if not 0 <= k < self.K:
-            raise IndexError(f"lane {k} out of range 0..{self.K - 1}")
-        if not 0 <= state < self.S or not 0 <= next_state < self.S:
-            raise ValueError(
-                f"state/next_state out of range [0, {self.S}): {state}, {next_state}"
-            )
-        if not 0 <= action < A:
-            raise ValueError(f"action {action} out of range [0, {A})")
-
         pair = state * A + action
         q_sa = int(self.q[k, pair])
-        r = cfg.q_format.quantize(float(reward))
 
         # ---- stage-2 equivalent: update policy ---- #
         if cfg.update_policy == "greedy":

@@ -126,6 +126,10 @@ class FxpFormat:
         if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
             raise ValueError(f"cannot quantise non-finite value {value!r}")
         scaled = value * (1 << self.frac) if self.frac >= 0 else value / (1 << -self.frac)
+        if isinstance(scaled, float) and math.isinf(scaled):
+            # A finite value scaled past the float range: 2**1023 is just
+            # as far out of range and, like every such value, wraps to 0.
+            scaled = math.copysign(2.0**1023, scaled)
         if self.rounding == "truncate":
             raw = math.floor(scaled)
         else:  # nearest, half away from zero (DSP round bit semantics)

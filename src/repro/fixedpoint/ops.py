@@ -25,14 +25,29 @@ _I64 = np.int64
 
 
 def quantize_array(values, fmt: FxpFormat) -> np.ndarray:
-    """Quantise an array of reals into raw integers of ``fmt``."""
+    """Quantise an array of reals into raw integers of ``fmt``.
+
+    Elementwise equal to :meth:`FxpFormat.quantize`, extreme inputs
+    included: the rounded values stay float64 (exact integers) until the
+    overflow rule has brought them into range — a clamp for ``saturate``,
+    an exact ``fmod`` for ``wrap`` — so nothing beyond int64 is cast.
+    Non-finite inputs raise :class:`ValueError`.
+    """
     values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("cannot quantise non-finite values")
     scaled = values * float(2.0 ** fmt.frac)
     if fmt.rounding == "truncate":
         raw = np.floor(scaled)
     else:
         raw = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
-    return clamp_raw(raw.astype(_I64), fmt)
+    if fmt.overflow == "saturate":
+        return np.minimum(np.maximum(raw, fmt.raw_min), fmt.raw_max).astype(_I64)
+    span = float(1 << fmt.wordlen)
+    # As in FxpFormat.quantize, a value scaled past the float range wraps
+    # like 2**1023 (to 0).
+    raw = np.fmod(np.clip(raw, -(2.0**1023), 2.0**1023), span)
+    return clamp_raw((raw + np.where(raw < 0, span, 0.0)).astype(_I64), fmt)
 
 
 def to_float_array(raw: RawLike, fmt: FxpFormat) -> np.ndarray:

@@ -26,7 +26,13 @@ for the protocol spec and deployment notes, and
 from .client import ServeClient, ServeError, ServeSession
 from .gateway import Gateway, run_gateway_in_thread
 from .protocol import PROTOCOL, ProtocolError
-from .session import SessionManager, SessionRecord, build_serve_backend, serve_world
+from .session import (
+    SessionManager,
+    SessionRecord,
+    build_serve_backend,
+    default_serve_engine,
+    serve_world,
+)
 
 __all__ = [
     "PROTOCOL",
@@ -38,6 +44,7 @@ __all__ = [
     "SessionManager",
     "SessionRecord",
     "build_serve_backend",
+    "default_serve_engine",
     "run_gateway_in_thread",
     "serve_world",
 ]

@@ -9,7 +9,7 @@ the sharded backend) shared memory and workers reclaimed via
 
 Examples::
 
-    python -m repro.serve --port 7777
+    python -m repro.serve --port 7777   # native if a C compiler exists
     python -m repro.serve --engine sharded --lanes 256 --workers 4 \\
         --http-port 9100   # GET /metrics, GET /healthz
 """
@@ -24,7 +24,7 @@ import logging
 from ..backends.sharded import install_signal_cleanup
 from ..core.config import QTAccelConfig
 from .gateway import Gateway
-from .session import SessionManager, build_serve_backend
+from .session import SessionManager, build_serve_backend, default_serve_engine
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,8 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional HTTP port for /metrics and /healthz",
     )
     parser.add_argument(
-        "--engine", default="vectorized",
-        choices=("vectorized", "scalar", "sharded"),
+        "--engine", default=default_serve_engine(),
+        choices=("native", "vectorized", "scalar", "sharded"),
+        help="fleet backend (default: native when a C compiler is found, "
+        "else vectorized)",
     )
     parser.add_argument("--lanes", type=int, default=64, help="fleet lanes (= max tenants)")
     parser.add_argument("--states", type=int, default=128)

@@ -67,6 +67,7 @@ Error codes are the closed set in :data:`ERROR_CODES`.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 #: Protocol identifier, echoed by the ``server`` op.
@@ -293,10 +294,18 @@ def parse_transition(req: dict, *, num_states: int, num_actions: int) -> tuple:
     r = req.get("r", 0.0)
     if isinstance(r, bool) or not isinstance(r, (int, float)):
         raise ProtocolError(E_BAD_REQUEST, "field 'r' must be a number")
+    # json.loads accepts NaN, Infinity and integers past the float range;
+    # no fixed-point reward represents them.
+    try:
+        r = float(r)
+    except OverflowError:
+        r = math.inf
+    if not math.isfinite(r):
+        raise ProtocolError(E_BAD_REQUEST, "field 'r' must be a finite number")
     t = req.get("t", False)
     if not isinstance(t, bool):
         raise ProtocolError(E_BAD_REQUEST, "field 't' must be a boolean")
-    return s, a, float(r), ns, t
+    return s, a, r, ns, t
 
 
 def parse_batch(req: dict, *, num_states: int, num_actions: int) -> list[tuple]:
@@ -310,6 +319,18 @@ def parse_batch(req: dict, *, num_states: int, num_actions: int) -> list[tuple]:
         )
     out = []
     for i, row in enumerate(rows):
+        if type(row) is list and len(row) == 5:
+            # Fast path for the common row: checks inline, no field dict.
+            s, a, r, ns, t = row
+            if (
+                type(s) is int and 0 <= s < num_states
+                and type(a) is int and 0 <= a < num_actions
+                and type(ns) is int and 0 <= ns < num_states
+                and type(r) is float and math.isfinite(r)
+                and type(t) is bool
+            ):
+                out.append((s, a, r, ns, t))
+                continue
         if not isinstance(row, (list, tuple)) or not 4 <= len(row) <= 5:
             raise ProtocolError(
                 E_BAD_REQUEST, f"batch[{i}] must be [s, a, r, ns] or [s, a, r, ns, t]"

@@ -47,6 +47,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ..backends.base import lane_transitions
 from ..envs.base import DenseMdp
 from ..robustness.checkpoint import CheckpointStore
 from .protocol import (
@@ -80,10 +81,19 @@ def serve_world(num_states: int, num_actions: int) -> DenseMdp:
     )
 
 
+def default_serve_engine() -> str:
+    """The engine a gateway serves on when none is named: ``"native"``
+    when a C compiler can build the fused kernel here, else
+    ``"vectorized"`` (the same program in numpy)."""
+    from ..backends.native import native_available
+
+    return "native" if native_available()[0] else "vectorized"
+
+
 def build_serve_backend(
     config,
     *,
-    engine: str = "vectorized",
+    engine: Optional[str] = None,
     lanes: int = 64,
     num_states: int = 128,
     num_actions: int = 4,
@@ -94,12 +104,15 @@ def build_serve_backend(
 ):
     """Construct a fleet backend sized for serving (via ``make_engine``).
 
-    Extra keyword arguments pass through to the backend constructor
-    (e.g. the sharded backend's ``ping_timeout_s``/``hang_timeout_s``
-    watchdog knobs, tightened by the chaos campaign).
+    ``engine`` defaults to :func:`default_serve_engine`.  Extra keyword
+    arguments pass through to the backend constructor (e.g. the sharded
+    backend's ``ping_timeout_s``/``hang_timeout_s`` watchdog knobs,
+    tightened by the chaos campaign).
     """
     from ..core.engine import make_engine
 
+    if engine is None:
+        engine = default_serve_engine()
     world = serve_world(num_states, num_actions)
     kw: dict = {"num_agents": lanes, "telemetry": telemetry, **backend_kw}
     if engine == "sharded":
@@ -112,6 +125,21 @@ def build_serve_backend(
 
         return make_fleet_backend(world, config, backend="scalar", **kw)
     return make_engine(config, engine=engine, mdps=world, **kw)
+
+
+def _columns(rows: Sequence[tuple]) -> tuple[tuple, tuple]:
+    """``(s, a, r, ns, t)`` rows transposed: the five field tuples, and
+    the five ``apply_transition`` columns built from them."""
+    fields = tuple(zip(*rows)) if rows else ((),) * 5
+    if len(fields) != 5:
+        raise ValueError("each transition must be (s, a, r, ns, t)")
+    s, a, r, ns, t = fields
+    # np.array keeps the index columns' dtype honest (a float or bool
+    # state is refused downstream); rewards and flags convert in one pass.
+    return fields, (
+        np.array(s), np.array(a), np.fromiter(r, float, len(r)),
+        np.array(ns), np.fromiter(t, bool, len(t)),
+    )
 
 
 def _lane_states_equal(a: dict, b: dict) -> bool:
@@ -491,9 +519,12 @@ class SessionManager:
         """Retire one external transition on the session's lane."""
         with self._lock:
             rec = self._get(sid)
-            q_new = self.backend.apply_transition(
-                rec.lane, state, action, reward, next_state, terminal
-            )
+            try:
+                q_new = self.backend.apply_transition(
+                    rec.lane, state, action, reward, next_state, terminal
+                )
+            except ValueError as exc:
+                raise ProtocolError(E_BAD_REQUEST, str(exc)) from None
             rec.journal.append(("learn", state, action, reward, next_state, terminal))
             rec.samples += 1
             self.transitions_total += 1
@@ -511,19 +542,35 @@ class SessionManager:
         transitions: Iterable[tuple],
         deadline: Optional[float] = None,
     ) -> int:
-        """Retire a sequence of transitions; returns the last ``q_new``.
+        """Retire a sequence of ``(s, a, r, ns, t)`` transitions; returns
+        the last ``q_new``.
+
+        The rows go to the backend as columns, one ``apply_transition``
+        call per chunk, and the whole batch is validated
+        (:func:`~repro.backends.base.lane_transitions`) before any row is
+        applied: a bad row raises ``bad_request`` with nothing applied.
 
         ``deadline`` (an absolute ``time.monotonic()`` timestamp) budgets
-        the request down into the backend lane-ops: the batch checks the
-        clock every ``_BATCH_CHECK`` transitions and, if the budget runs
-        out mid-application, **rolls the lane back** to its pre-batch
-        state (journal, counters and stats included) and raises
-        ``deadline_exceeded`` — nothing is applied, so an idempotent
-        retry of the whole batch stays exactly-once.
+        the request down into the backend lane-ops: the batch is applied
+        in chunks of ``_BATCH_CHECK`` rows with the clock checked before
+        each and, if the budget runs out mid-application, the lane is
+        **rolled back** to its pre-batch state (journal, counters and
+        stats included) and ``deadline_exceeded`` raised — nothing is
+        applied, so an idempotent retry of the whole batch stays
+        exactly-once.  Without a deadline the batch is one chunk.
         """
         rows = list(transitions)
         with self._lock, self._span("session.learn_batch", size=len(rows)):
             rec = self._get(sid)
+            chunk = self._BATCH_CHECK if deadline is not None else max(1, len(rows))
+            try:
+                fields, columns = _columns(rows)
+                if chunk < len(rows):
+                    # Chunks apply one by one, so all are checked first; a
+                    # single chunk is checked whole by its one lane-op call.
+                    lane_transitions(self.backend, rec.lane, *columns)
+            except (TypeError, ValueError) as exc:
+                raise ProtocolError(E_BAD_REQUEST, f"batch rejected: {exc}") from None
             undo = None
             if deadline is not None:
                 # O(S·A) insurance: the pre-batch lane state plus the
@@ -534,23 +581,25 @@ class SessionManager:
                     rec.base,
                     list(rec.journal),
                 )
+            entries = list(zip(itertools.repeat("learn"), *fields))
             q_new = 0
             applied = 0
             try:
-                for s, a, r, ns, t in rows:
-                    if (
-                        deadline is not None
-                        and applied % self._BATCH_CHECK == 0
-                        and time.monotonic() >= deadline
-                    ):
+                while applied < len(rows):
+                    if deadline is not None and time.monotonic() >= deadline:
                         raise ProtocolError(
                             E_DEADLINE,
                             f"batch deadline expired after {applied}/"
                             f"{len(rows)} transitions; batch rolled back",
                         )
-                    q_new = self.backend.apply_transition(rec.lane, s, a, r, ns, t)
-                    rec.journal.append(("learn", s, a, r, ns, t))
-                    applied += 1
+                    end = applied + chunk
+                    q_new = self.backend.apply_transition(
+                        rec.lane, *(c[applied:end] for c in columns)
+                    )
+                    rec.journal.extend(entries[applied:end])
+                    applied = min(end, len(rows))
+            except ValueError as exc:  # only a single chunk, before any row
+                raise ProtocolError(E_BAD_REQUEST, f"batch rejected: {exc}") from None
             except ProtocolError:
                 if undo is not None:
                     lane_snap, base, journal = undo

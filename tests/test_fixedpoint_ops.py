@@ -33,6 +33,34 @@ class TestQuantizeArray:
         arr = ops.quantize_array([0.0078125], f)  # half an lsb
         assert int(arr[0]) == 1
 
+    @given(
+        vals=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([1e18, -1e18, 1e300, -1e300, 2.0**63, -(2.0**63), 1.7e308]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        rounding=st.sampled_from(["truncate", "nearest"]),
+        overflow=st.sampled_from(["saturate", "wrap"]),
+        signed=st.booleans(),
+        frac=st.integers(-4, 16),
+    )
+    # Values near the float maximum overflow the scaling multiply to inf
+    # (numpy warns); both quantisers then treat them as 2**1023.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_matches_scalar_on_extreme_floats(self, vals, rounding, overflow, signed, frac):
+        """Values far outside int64 saturate (or wrap) exactly like the
+        scalar quantiser instead of overflowing the cast."""
+        f = FxpFormat(16, frac, signed=signed, rounding=rounding, overflow=overflow)
+        assert [int(r) for r in ops.quantize_array(vals, f)] == [f.quantize(v) for v in vals]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            ops.quantize_array([0.5, bad], Q_FORMAT)
+
 
 class TestClampRaw:
     def test_scalar_saturate(self):

@@ -40,6 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends.native import native_available
 from repro.core.config import QTAccelConfig
 from repro.serve import (
     Gateway,
@@ -63,9 +64,20 @@ from repro.serve.protocol import (
     parse_transition,
     require_int,
 )
+from repro.serve import session as session_mod
+from repro.serve.session import _lane_states_equal
 from repro.serve.smoke import replay_reference
 
 S, A = 16, 4
+
+#: Single-process engines the gateway tests run on; ``native`` is the CLI
+#: default wherever a C compiler exists.
+ENGINES = ["vectorized", "native"]
+
+
+def _skip_without_compiler(engine: str) -> None:
+    if engine == "native" and not native_available()[0]:
+        pytest.skip("no C compiler for the fused kernel")
 
 
 def _config(**kw):
@@ -263,6 +275,58 @@ class TestSessionManager:
         _apply_via_manager(manager, rec.sid, _random_stream(rng, 50))
         assert manager.stats(rec.sid)["journal_depth"] < 8
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_deadline_after_first_chunk_rolls_back(self, engine, monkeypatch):
+        """A deadline that expires after the first chunk has been applied
+        unwinds the whole batch; the retried batch lands exactly once."""
+        _skip_without_compiler(engine)
+        config = _config(seed=21)
+        manager = SessionManager(_backend(engine=engine, lanes=2, config=config),
+                                 checkpoint_every=16)
+        rec = manager.open()
+        rng = random.Random(12)
+        pre = _random_stream(rng, 10)
+        _apply_via_manager(manager, rec.sid, pre)
+        rows = [op[1:] for op in _random_stream(rng, 3 * manager._BATCH_CHECK + 5,
+                                                 explore_frac=0.0)]
+        before = (manager.backend.lane_state(rec.lane), list(rec.journal),
+                  rec.samples, manager.transitions_total)
+
+        clock = iter([0.0] + [10.0] * 8)  # fresh before chunk 1, expired after
+        monkeypatch.setattr(session_mod.time, "monotonic", lambda: next(clock))
+        with pytest.raises(ProtocolError) as exc:
+            manager.learn_batch(rec.sid, rows, deadline=5.0)
+        monkeypatch.undo()
+        assert exc.value.code == "deadline_exceeded"
+        assert "after 32/" in exc.value.detail  # one chunk had been applied
+        after = (manager.backend.lane_state(rec.lane), list(rec.journal),
+                 rec.samples, manager.transitions_total)
+        assert _lane_states_equal(after[0], before[0]) and after[1:] == before[1:]
+        assert manager.deadline_aborts == 1
+
+        manager.learn_batch(rec.sid, rows, deadline=time.monotonic() + 60.0)
+        ops = pre + [("learn", *row) for row in rows]
+        assert manager.q_row(rec.sid) == _ref_table(config, rec.salt, ops)
+        assert manager.stats(rec.sid)["samples"] == sum(op[0] == "learn" for op in ops)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_bad_row_rejects_whole_batch(self, engine):
+        """A batch with a bad row anywhere raises bad_request and applies
+        nothing, so samples, journal and the table are unchanged."""
+        _skip_without_compiler(engine)
+        config = _config(seed=22)
+        manager = SessionManager(_backend(engine=engine, lanes=1, config=config))
+        rec = manager.open()
+        good = [(1, 1, 1.0, 2, False), (2, 1, 1.0, 3, False)]
+        for bad in ((3, 1, float("nan"), 2, False), (3, A, 0.5, 2, False),
+                    (3, 1, 0.5, -1, False), (3, 1, 0.5, 2)):
+            with pytest.raises(ProtocolError) as exc:
+                manager.learn_batch(rec.sid, good * 20 + [bad])
+            assert exc.value.code == "bad_request"
+            assert manager.q_row(rec.sid) == _ref_table(config, rec.salt, [])
+            assert rec.samples == 0 and rec.journal == []
+            assert manager.transitions_total == 0
+
     def test_q_row_slices_one_state(self):
         manager = SessionManager(_backend(lanes=1))
         rec = manager.open()
@@ -401,8 +465,10 @@ def _shutdown(gateway, thread, loop):
 
 @pytest.fixture
 def served(request):
-    """A live gateway on an ephemeral port; param selects the engine."""
+    """A live gateway on an ephemeral port; param selects the engine
+    (tests parametrize it over :data:`ENGINES`, or ``sharded``)."""
     engine = getattr(request, "param", "vectorized")
+    _skip_without_compiler(engine)
     config = _config(seed=13)
     backend = _backend(engine=engine, lanes=2, config=config)
     manager = SessionManager(backend, checkpoint_every=16)
@@ -421,7 +487,7 @@ def served(request):
 
 
 class TestGateway:
-    @pytest.mark.parametrize("served", ["vectorized", "sharded"], indirect=True)
+    @pytest.mark.parametrize("served", ["vectorized", "sharded", "native"], indirect=True)
     def test_end_to_end_bit_identity(self, served):
         """A TCP session's table equals the standalone functional replay."""
         gateway, config = served
@@ -462,6 +528,65 @@ class TestGateway:
             ops = [("learn",) + r for r in rows]
             assert sess.table() == _ref_table(config, sess.salt, ops)
             sess.close()
+
+    @pytest.mark.parametrize("served", ENGINES, indirect=True)
+    def test_large_batch_over_wire_is_bit_exact(self, served):
+        """Batches of many rows (several deadline chunks when budgeted)
+        land bit-exactly, with and without a deadline."""
+        gateway, config = served
+        rng = random.Random(47)
+        with ServeClient(port=gateway.port) as client:
+            sess = client.open_session()
+            ops = []
+            for budget in (None, 30_000, None):
+                rows = [op[1:] for op in _random_stream(rng, 100, explore_frac=0.0)]
+                sess.learn_batch(rows, deadline_ms=budget)
+                ops.extend(("learn", *row) for row in rows)
+            assert sess.table() == _ref_table(config, sess.salt, ops)
+            assert sess.stats()["samples"] == 300
+            sess.close()
+
+    @pytest.mark.parametrize("served", ENGINES, indirect=True)
+    def test_non_finite_reward_rejected_on_the_wire(self, served):
+        """Raw NDJSON NaN/Infinity rewards (which json.loads accepts) are
+        refused with bad_request, and a batch carrying one applies none
+        of its rows: table, samples and seq cache stay unchanged."""
+        gateway, config = served
+        with socket.create_connection(("127.0.0.1", gateway.port), timeout=10) as sock:
+            rfile = sock.makefile("rb")
+
+            def roundtrip(raw: bytes) -> dict:
+                sock.sendall(raw)
+                return json.loads(rfile.readline())
+
+            opened = roundtrip(b'{"op":"open"}\n')
+            sid = opened["session"].encode()
+            pristine = roundtrip(b'{"op":"table","session":"%s"}\n' % sid)["q"]
+            for bad in (b"NaN", b"Infinity", b"-Infinity", b"1e999"):
+                batch = roundtrip(
+                    b'{"op":"learn","session":"%s","seq":1,"batch":'
+                    b'[[1,1,1.0,2,false],[2,1,1.0,3,false],[3,1,%s,2,false]]}\n'
+                    % (sid, bad)
+                )
+                assert batch["error"] == "bad_request" and batch["seq"] == 1, batch
+                single = roundtrip(
+                    b'{"op":"learn","session":"%s","s":1,"a":1,"r":%s,"ns":2}\n'
+                    % (sid, bad)
+                )
+                assert single["error"] == "bad_request", single
+            assert roundtrip(b'{"op":"table","session":"%s"}\n' % sid)["q"] == pristine
+            stats = roundtrip(b'{"op":"stats","session":"%s"}\n' % sid)
+            assert stats["samples"] == 0 and stats["last_seq"] == 0
+            # The retried batch with a finite reward lands exactly once.
+            good = roundtrip(
+                b'{"op":"learn","session":"%s","seq":1,"batch":'
+                b'[[1,1,1.0,2,false],[2,1,1.0,3,false],[3,1,0.5,2,false]]}\n' % sid
+            )
+            assert good["ok"] and good["n"] == 3
+            ops = [("learn", 1, 1, 1.0, 2, False), ("learn", 2, 1, 1.0, 3, False),
+                   ("learn", 3, 1, 0.5, 2, False)]
+            table = roundtrip(b'{"op":"table","session":"%s"}\n' % sid)["q"]
+            assert table == _ref_table(config, opened["salt"], ops)
 
     def test_admission_rejects_then_queues(self, served):
         gateway, _ = served
