@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .slo import check_slo, counters_from_openmetrics, slo_report
+from ..perf.metrics_export import counters_from_openmetrics
+from .slo import check_slo, slo_report
 
 
 def load_counters(text: str) -> dict:

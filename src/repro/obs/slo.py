@@ -11,7 +11,7 @@ exposes on ``/metrics``:
 
 :func:`slo_report` turns a flat counter dump — a registry ``as_dict()``,
 a telemetry profile JSON, or OpenMetrics exposition text parsed by
-:func:`counters_from_openmetrics` — into per-tenant p50/p95/p99 and
+:func:`repro.perf.metrics_export.counters_from_openmetrics` — into per-tenant p50/p95/p99 and
 error totals, and scores them against a threshold file for the
 ``python -m repro.obs report --slo`` gate.
 
@@ -29,6 +29,7 @@ caps the *total* count of one error code for that tenant.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Optional
 
@@ -119,66 +120,12 @@ def histogram_percentile(summary: dict, q: float) -> Optional[float]:
         if n:
             prev_bound = bound
     # Percentile falls in the overflow bucket: clamp to the observed max.
+    # An OpenMetrics scrape carries no max, so there the percentile is
+    # unbounded — it must exceed every finite budget, not vanish.
     if overflow:
-        return summary.get("max")
+        top = summary.get("max")
+        return math.inf if top is None else top
     return pairs[-1][0] if pairs else summary.get("max")
-
-
-def counters_from_openmetrics(text: str) -> dict:
-    """Parse ``render_openmetrics`` output back into a flat counter dict.
-
-    Counters and gauges come back as numbers keyed by their dotted
-    instrument name; histograms come back as summary dicts
-    (``count``/``total``/``min``/``max``/``buckets``) — the same shape
-    a registry ``as_dict()`` produces, so :func:`slo_report` accepts
-    either source.
-    """
-    from ..perf.metrics_export import _SAMPLE_RE
-
-    flat: dict = {}
-    hists: dict[str, dict] = {}
-    cumulative: dict[str, list[tuple[float, float]]] = {}
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        m = _SAMPLE_RE.match(line)
-        if not m:
-            continue
-        metric = m.group("name")
-        labels_raw = m.group("labels") or ""
-        value_raw = m.group("value")
-        labels = dict(re.findall(r'(\w+)="([^"]*)"', labels_raw))
-        name = labels.get("name")
-        if not name:
-            continue
-        value = float(value_raw)
-        if metric.endswith("_counter_total") or metric.endswith("_gauge"):
-            flat[name] = value
-        elif metric.endswith("_histogram_bucket"):
-            le = labels.get("le", "+Inf")
-            bound = float("inf") if le == "+Inf" else float(le)
-            cumulative.setdefault(name, []).append((bound, value))
-        elif metric.endswith("_histogram_count"):
-            hists.setdefault(name, {})["count"] = int(value)
-        elif metric.endswith("_histogram_sum"):
-            hists.setdefault(name, {})["sum"] = value
-    for name, pairs in cumulative.items():
-        pairs.sort()
-        buckets: dict[str, int] = {}
-        prev = 0.0
-        for bound, cum in pairs:
-            n = int(cum - prev)
-            prev = cum
-            if bound == float("inf"):
-                buckets["overflow"] = n
-            else:
-                key = f"le_{int(bound)}" if float(bound).is_integer() else f"le_{bound}"
-                buckets[key] = n
-        summary = hists.setdefault(name, {})
-        summary.setdefault("count", int(pairs[-1][1]) if pairs else 0)
-        summary["buckets"] = buckets
-    flat.update(hists)
-    return flat
 
 
 def _split_slo_key(name: str, prefix: str) -> Optional[tuple[str, str, str]]:
@@ -228,9 +175,11 @@ def check_slo(report: dict, thresholds: dict) -> list[str]:
                 limit = limits.get(f"{pct}_ms")
                 got = stats.get(f"{pct}_ms")
                 if limit is not None and got is not None and got > limit:
+                    shown = (
+                        "beyond the largest bucket" if math.isinf(got) else f"{got:.3f}ms"
+                    )
                     violations.append(
-                        f"{tenant}/{op}: {pct} {got:.3f}ms exceeds "
-                        f"budget {limit:.3f}ms"
+                        f"{tenant}/{op}: {pct} {shown} exceeds budget {limit:.3f}ms"
                     )
         max_errors = limits.get("max_errors") or {}
         for code, cap in sorted(max_errors.items()):

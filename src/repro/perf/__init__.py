@@ -13,9 +13,11 @@ machine-readable artifacts, layered on :mod:`repro.telemetry`:
 * :mod:`repro.perf.snapshot` — schema-versioned ``BENCH_<n>.json``
   snapshots (per-engine samples/sec, cycles/sample, modelled MS/s at
   the paper's 189 MHz, overhead ratios, machine fingerprint).
-* :mod:`repro.perf.fleet` — the scalar-vs-vectorized fleet throughput
-  sweep over a ladder of lane counts (updates/sec per backend, paired
-  speedup), recorded under a snapshot's ``fleet_throughput`` key.
+* :mod:`repro.perf.fleet` — the fleet throughput sweeps: one paired
+  candidate-vs-baseline timing loop with four variants (vectorized vs
+  scalar, update rules, sharded workers, native kernel), each recorded
+  under its own snapshot key (``fleet_throughput``, ``rule_throughput``,
+  ``sharded_throughput``, ``native_throughput``).
 * :mod:`repro.perf.serve` — the session-gateway saturation bench
   (sessions/sec, transitions/sec, p50/p99 action latency over live
   NDJSON TCP), recorded under a snapshot's ``serve_throughput`` key.
@@ -39,9 +41,10 @@ from .compare import CompareResult, compare_snapshots, render_comparison
 from .fleet import (
     LANE_COUNTS,
     SMOKE_LANE_COUNTS,
-    check_min_speedup,
-    render_fleet_throughput,
-    run_fleet_throughput,
+    SWEEPS,
+    check_sweep,
+    render_sweep,
+    run_sweep,
 )
 from .metrics_export import (
     JsonlEmitter,
@@ -73,9 +76,10 @@ __all__ = [
     "render_comparison",
     "LANE_COUNTS",
     "SMOKE_LANE_COUNTS",
-    "check_min_speedup",
-    "render_fleet_throughput",
-    "run_fleet_throughput",
+    "SWEEPS",
+    "check_sweep",
+    "render_sweep",
+    "run_sweep",
     "render_serve_throughput",
     "run_serve_throughput",
     "JsonlEmitter",

@@ -7,7 +7,9 @@ Usage::
     python -m repro.perf run --fleet              # + fleet throughput sweep
     python -m repro.perf run --fleet --workers 1,2  # + sharded worker sweep
     python -m repro.perf run --fleet --native     # + native fused-kernel sweep
+    python -m repro.perf run --rules              # + update-rule overhead sweep
     python -m repro.perf fleet --smoke --min-speedup 5
+    python -m repro.perf fleet --smoke --rules all --max-rule-overhead 3
     python -m repro.perf fleet --backend native --min-speedup 3
     python -m repro.perf fleet --workers 2 --lanes 256 --min-speedup 2 --vs scalar
     python -m repro.perf serve --quick          # gateway saturation bench
@@ -30,19 +32,11 @@ from .fleet import (
     LANE_COUNTS,
     RULE_NAMES,
     SMOKE_LANE_COUNTS,
+    SWEEPS,
     WORKER_COUNTS,
-    check_min_speedup,
-    check_native_speedup,
-    check_rule_overhead,
-    check_sharded_speedup,
-    render_fleet_throughput,
-    render_native_throughput,
-    render_rule_throughput,
-    render_sharded_throughput,
-    run_fleet_throughput,
-    run_native_throughput,
-    run_rule_throughput,
-    run_sharded_throughput,
+    check_sweep,
+    render_sweep,
+    run_sweep,
 )
 from .serve import render_serve_throughput, run_serve_throughput
 from .snapshot import build_snapshot, load_snapshot, next_bench_path, write_snapshot
@@ -58,28 +52,21 @@ def _cmd_run(args) -> int:
         stage = measure_stage_attribution(
             samples=400 if args.quick else 4_000, sample_every=args.stage_every
         )
-    fleet = None
+    lanes = SMOKE_LANE_COUNTS if args.quick else LANE_COUNTS
+    sweeps = {}
     if args.fleet:
-        fleet = run_fleet_throughput(
-            lane_counts=SMOKE_LANE_COUNTS if args.quick else LANE_COUNTS,
-            quick=args.quick,
-        )
-    sharded = None
+        sweeps["fleet"] = run_sweep("fleet", lanes, quick=args.quick)
     if args.workers:
-        sharded = run_sharded_throughput(
-            worker_counts=_parse_workers(args.workers),
+        sweeps["sharded"] = run_sweep(
+            "sharded",
+            _parse_workers(args.workers),
             n_lanes=256 if args.quick else 4096,
             quick=args.quick,
         )
-    rule_sweep = None
     if args.rules:
-        rule_sweep = run_rule_throughput(quick=args.quick)
-    native = None
+        sweeps["rule"] = run_sweep("rule", quick=args.quick)
     if args.native:
-        native = run_native_throughput(
-            lane_counts=SMOKE_LANE_COUNTS if args.quick else LANE_COUNTS,
-            quick=args.quick,
-        )
+        sweeps["native"] = run_sweep("native", lanes, quick=args.quick)
     serve = None
     if args.serve:
         serve = run_serve_throughput(quick=args.quick)
@@ -88,11 +75,8 @@ def _cmd_run(args) -> int:
         config={"repeats": args.repeats, "warmup": args.warmup, "quick": args.quick},
         overheads=overhead_ratios(results),
         stage_attribution=stage,
-        fleet_throughput=fleet,
-        sharded_throughput=sharded,
-        rule_throughput=rule_sweep,
-        native_throughput=native,
         serve_throughput=serve,
+        **{SWEEPS[name].key: record for name, record in sweeps.items()},
     )
     path = args.output if args.output else next_bench_path(".")
     write_snapshot(snapshot, path)
@@ -112,40 +96,37 @@ def _parse_workers(spec: str) -> list[int]:
 
 
 def _cmd_fleet(args) -> int:
-    sharded = bool(args.workers)
-    native = args.backend == "native"
-    if native and (args.rules or sharded):
-        raise KeyError("--backend native cannot combine with --rules/--workers")
-    if native:
-        record = run_native_throughput(
-            lane_counts=SMOKE_LANE_COUNTS if args.smoke else LANE_COUNTS,
-            repeats=args.repeats,
-            quick=args.smoke,
+    variants = [
+        (flag, name)
+        for flag, name, on in (
+            ("--backend native", "native", args.backend == "native"),
+            ("--rules", "rule", args.rules),
+            ("--workers", "sharded", args.workers),
         )
-        print(render_native_throughput(record))
-    elif args.rules:
-        record = run_rule_throughput(
-            rules=RULE_NAMES if args.rules == "all" else args.rules.split(","),
-            n_lanes=min(args.lanes, 256),
-            repeats=args.repeats,
-            quick=args.smoke,
-        )
-        print(render_rule_throughput(record))
-    elif sharded:
-        record = run_sharded_throughput(
-            worker_counts=_parse_workers(args.workers),
-            n_lanes=args.lanes,
-            repeats=args.repeats,
-            quick=args.smoke,
-        )
-        print(render_sharded_throughput(record))
+        if on
+    ]
+    if len(variants) > 1:
+        flags = " and ".join(flag for flag, _ in variants)
+        raise KeyError(f"{flags} each pick a sweep; pass one")
+    name = variants[0][1] if variants else "fleet"
+    if args.max_rule_overhead is not None and name != "rule":
+        raise KeyError("--max-rule-overhead gates the rule sweep; it needs --rules")
+    if args.min_speedup is not None and name == "rule":
+        raise KeyError("--min-speedup does not gate the rule sweep; use --max-rule-overhead")
+    if args.vs is not None and name != "sharded":
+        raise KeyError("--vs picks the sharded sweep's baseline; it needs --workers")
+
+    if name == "rule":
+        ladder = RULE_NAMES if args.rules == "all" else args.rules.split(",")
+        n_lanes = min(args.lanes, 256)
+    elif name == "sharded":
+        ladder, n_lanes = _parse_workers(args.workers), args.lanes
     else:
-        record = run_fleet_throughput(
-            lane_counts=SMOKE_LANE_COUNTS if args.smoke else LANE_COUNTS,
-            repeats=args.repeats,
-            quick=args.smoke,
-        )
-        print(render_fleet_throughput(record))
+        ladder, n_lanes = (SMOKE_LANE_COUNTS if args.smoke else LANE_COUNTS), None
+    record = run_sweep(
+        name, ladder, n_lanes=n_lanes, repeats=args.repeats, quick=args.smoke
+    )
+    print(render_sweep(name, record))
     if args.output:
         import json
 
@@ -153,20 +134,13 @@ def _cmd_fleet(args) -> int:
             json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"\nsweep written to {args.output}")
-    if args.rules and args.max_rule_overhead is not None:
-        ok, message = check_rule_overhead(record, args.max_rule_overhead)
-        print(message)
-        return 0 if ok else 1
-    if args.min_speedup is not None and not args.rules:
-        if native:
-            ok, message = check_native_speedup(record, args.min_speedup)
-        elif sharded:
-            ok, message = check_sharded_speedup(record, args.min_speedup, vs=args.vs)
-        else:
-            ok, message = check_min_speedup(record, args.min_speedup)
-        print(message)
-        return 0 if ok else 1
-    return 0
+    bound = args.max_rule_overhead if name == "rule" else args.min_speedup
+    if bound is None:
+        return 0
+    ratio = f"speedup_vs_{args.vs or 'scalar'}" if name == "sharded" else None
+    ok, message = check_sweep(name, record, bound, ratio=ratio)
+    print(message)
+    return 0 if ok else 1
 
 
 def _cmd_serve(args) -> int:
@@ -292,22 +266,10 @@ def render_snapshot(snapshot: dict) -> str:
             out.append(
                 f"  {name}: {_fmt(entry.get('ratio'))} vs {entry.get('baseline')}{tail}"
             )
-    fleet = snapshot.get("fleet_throughput")
-    if fleet:
-        out.append("")
-        out.append(render_fleet_throughput(fleet))
-    sharded = snapshot.get("sharded_throughput")
-    if sharded:
-        out.append("")
-        out.append(render_sharded_throughput(sharded))
-    rule_sweep = snapshot.get("rule_throughput")
-    if rule_sweep:
-        out.append("")
-        out.append(render_rule_throughput(rule_sweep))
-    native = snapshot.get("native_throughput")
-    if native:
-        out.append("")
-        out.append(render_native_throughput(native))
+    for name, spec in SWEEPS.items():
+        if snapshot.get(spec.key):
+            out.append("")
+            out.append(render_sweep(name, snapshot[spec.key]))
     serve = snapshot.get("serve_throughput")
     if serve:
         out.append("")
@@ -440,7 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.set_defaults(func=_cmd_serve)
 
     p_fleet = sub.add_parser(
-        "fleet", help="scalar vs vectorized fleet throughput sweep"
+        "fleet",
+        help="paired fleet throughput sweep: vectorized vs scalar by default; "
+        "--rules, --workers or --backend native pick the other variants",
     )
     p_fleet.add_argument(
         "--smoke",
@@ -455,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         metavar="X",
         help="exit 1 unless the largest lane count (or worker count, with "
-        "--workers) reaches X x speedup",
+        "--workers) reaches X x speedup (not with --rules)",
     )
     p_fleet.add_argument(
         "--backend",
@@ -475,14 +439,15 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=4096,
         metavar="N",
-        help="lane count for the sharded sweep (default 4096)",
+        help="lane count for the sharded sweep (default 4096) and the rule "
+        "sweep (capped at 256)",
     )
     p_fleet.add_argument(
         "--vs",
         choices=("scalar", "vectorized"),
-        default="scalar",
-        help="which baseline the sharded --min-speedup gate compares against "
-        "(scalar is machine-portable; vectorized needs a multi-core host)",
+        help="with --workers: which baseline the --min-speedup gate compares "
+        "against (default scalar, which is machine-portable; vectorized "
+        "needs a multi-core host)",
     )
     p_fleet.add_argument(
         "--rules",

@@ -13,13 +13,20 @@ reported, never fatal.
 
 Wall-clock gating only applies when the two machine fingerprints match
 — a laptop baseline must not fail a CI runner for being a slower
-computer.  Two families gate regardless of machine:
+computer.  Three families gate regardless of machine:
 
 * ``cycles_per_sample`` — deterministic; any increase beyond a strict
   tolerance is an architectural regression, not noise;
 * overhead ``ratio``s — relative measures taken on one machine, checked
   against their recorded ``budget`` (the telemetry budget pins the
-  documented <5% claim).
+  documented <5% claim);
+* fleet-sweep ratios (every key in :data:`repro.perf.fleet.SWEEPS`:
+  ``speedup``, ``overhead``, ``speedup_vs_*``) — paired same-process
+  measures, checked against the baseline snapshot's within
+  ``SWEEP_REL_TOL``.
+
+Every banded verdict (time, cycles, serve, sweeps) goes through one
+rule, :func:`_banded`.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .fleet import SWEEPS, Sweep, gate_points
 from .snapshot import fingerprints_match
 
 #: Default relative slowdown tolerated before a wall-clock regression.
@@ -47,18 +55,22 @@ SERVE_REL_TOL = 0.25
 #: the observatory records).
 SERVE_P99_REL_TOL = 1.00
 
-#: Native-kernel speedup ratio tolerance.  ``speedup_vs_vectorized`` is
-#: a same-process relative measure (both sides timed back-to-back on
-#: one machine), so it gates across fingerprints — but it still moves
-#: with cache pressure and core count, hence a wide band.
-NATIVE_REL_TOL = 0.25
+#: Fleet-sweep band.  The sweep ratios are same-process relative
+#: measures (both sides timed back-to-back on one machine), so they gate
+#: across fingerprints — but they still move with cache pressure and
+#: core count, hence a wide band.  Absolute updates/sec share it.
+SWEEP_REL_TOL = 0.25
+
+#: Sweep record fields that define its shape; records that differ in
+#: any of them (where present) are not comparable.
+SWEEP_SHAPE_KEYS = ("quick", "kernel", "n_lanes", "cpu_count")
 
 
 @dataclass
 class Finding:
     """One sentinel verdict line."""
 
-    kind: str  # "time" | "cycles" | "budget" | "info"
+    kind: str  # "time" | "cycles" | "ratio" | "budget" | "info"
     case: str
     verdict: str  # "ok" | "regression" | "improvement" | "skipped"
     detail: str
@@ -139,30 +151,19 @@ def compare_snapshots(
                     )
                 )
             else:
-                delta = n_med - b_med
                 threshold = max(rel_tol * b_med, k * max(b_mad, n_mad))
-                pct = 100.0 * delta / b_med if b_med else 0.0
-                detail = (
-                    f"median {b_med:.6g}s -> {n_med:.6g}s "
-                    f"({pct:+.1f}%, threshold ±{100.0 * threshold / b_med:.1f}%)"
+                findings.append(
+                    _banded("time", name, "median", b_med, n_med, threshold / b_med,
+                            lower_is_better=True, unit="s")
                 )
-                if delta > threshold:
-                    findings.append(Finding("time", name, "regression", detail))
-                elif -delta > threshold:
-                    findings.append(Finding("time", name, "improvement", detail))
-                else:
-                    findings.append(Finding("time", name, "ok", detail))
 
         # Cycle counts (deterministic, machine-independent).
         b_cps, n_cps = b.get("cycles_per_sample"), n.get("cycles_per_sample")
-        if b_cps is not None and n_cps is not None:
-            detail = f"cycles/sample {b_cps:.6g} -> {n_cps:.6g}"
-            if n_cps > b_cps * (1.0 + CYCLES_REL_TOL):
-                findings.append(Finding("cycles", name, "regression", detail))
-            elif n_cps < b_cps * (1.0 - CYCLES_REL_TOL):
-                findings.append(Finding("cycles", name, "improvement", detail))
-            else:
-                findings.append(Finding("cycles", name, "ok", detail))
+        if b_cps and n_cps is not None:
+            findings.append(
+                _banded("cycles", name, "cycles/sample", b_cps, n_cps, CYCLES_REL_TOL,
+                        lower_is_better=True)
+            )
 
     # Serve-path throughput and latency (wall-clock; machine-bound),
     # healthy and degraded (mid-recovery) alike.
@@ -180,14 +181,12 @@ def compare_snapshots(
         label="degraded",
     )
 
-    # Native fused-kernel sweep (speedup ratio machine-portable;
-    # absolute updates/sec machine-bound).
-    _compare_native(
-        base.get("native_throughput"),
-        new.get("native_throughput"),
-        gate_time=gate_time,
-        findings=findings,
-    )
+    # Fleet sweeps (ratios machine-portable; updates/sec machine-bound).
+    for spec in SWEEPS.values():
+        _compare_sweep(
+            spec, base.get(spec.key), new.get(spec.key),
+            gate_time=gate_time, findings=findings,
+        )
 
     # Overhead budgets (relative; machine-independent).
     new_over = new.get("overheads", {})
@@ -229,6 +228,43 @@ def compare_snapshots(
     return result
 
 
+def _banded(
+    kind: str,
+    case: str,
+    what: str,
+    base: float,
+    new: float,
+    band: float,
+    *,
+    lower_is_better: bool = False,
+    gain_band: Optional[float] = None,
+    unit: str = "",
+) -> Finding:
+    """Judge ``new`` against a positive ``base`` with relative bands.
+
+    Moving more than ``band`` the bad way is a regression; moving more
+    than ``gain_band`` (default ``band``) the good way is an improvement;
+    anything between is ok.
+    """
+    gain = band if gain_band is None else gain_band
+    change = (new - base) / base
+    better = -change if lower_is_better else change
+    verdict = "regression" if better < -band else "improvement" if better > gain else "ok"
+    bound = f"ceiling +{100 * band:.3g}%" if lower_is_better else f"floor -{100 * band:.3g}%"
+    detail = f"{what} {base:.4g}{unit} -> {new:.4g}{unit} ({100 * change:+.1f}%, {bound})"
+    return Finding(kind, case, verdict, detail)
+
+
+def _both_present(label: str, base, new, findings: list) -> bool:
+    """True when both snapshots carry the record; else note which lacks it."""
+    if base is not None and new is not None:
+        return True
+    if base is not None or new is not None:
+        where = "new in this snapshot" if base is None else "missing from new snapshot"
+        findings.append(Finding("info", label, "skipped", f"{label} bench {where}"))
+    return False
+
+
 def _compare_serve(
     base: Optional[dict],
     new: Optional[dict],
@@ -250,17 +286,7 @@ def _compare_serve(
     (engine/lanes/concurrency, healthy vs chaos) are not comparable
     and are skipped.
     """
-    if base is None and new is None:
-        return
-    if base is None:
-        findings.append(
-            Finding("info", label, "skipped", f"{label} bench new in this snapshot")
-        )
-        return
-    if new is None:
-        findings.append(
-            Finding("info", label, "skipped", f"{label} bench missing from new snapshot")
-        )
+    if not _both_present(label, base, new, findings):
         return
     if not gate_time:
         findings.append(
@@ -291,125 +317,82 @@ def _compare_serve(
         b, n = base.get(metric), new.get(metric)
         if b is None or n is None or b <= 0:
             continue
-        pct = 100.0 * (n - b) / b
-        detail = f"{metric} {b:.6g} -> {n:.6g} ({pct:+.1f}%, floor -{100 * SERVE_REL_TOL:.0f}%)"
-        if n < b * (1.0 - SERVE_REL_TOL):
-            findings.append(Finding("time", f"{label}.{metric}", "regression", detail))
-        elif n > b * (1.0 + SERVE_REL_TOL):
-            findings.append(Finding("time", f"{label}.{metric}", "improvement", detail))
-        else:
-            findings.append(Finding("time", f"{label}.{metric}", "ok", detail))
+        findings.append(_banded("time", f"{label}.{metric}", metric, b, n, SERVE_REL_TOL))
 
     b_p99 = (base.get("act_latency_ms") or {}).get("p99")
     n_p99 = (new.get("act_latency_ms") or {}).get("p99")
     if b_p99 and n_p99:
-        pct = 100.0 * (n_p99 - b_p99) / b_p99
-        detail = (
-            f"act p99 {b_p99:.4g}ms -> {n_p99:.4g}ms "
-            f"({pct:+.1f}%, ceiling +{100 * SERVE_P99_REL_TOL:.0f}%)"
+        findings.append(
+            _banded("time", f"{label}.act_p99", "act p99", b_p99, n_p99,
+                    SERVE_P99_REL_TOL, lower_is_better=True,
+                    gain_band=SERVE_REL_TOL, unit="ms")
         )
-        if n_p99 > b_p99 * (1.0 + SERVE_P99_REL_TOL):
-            findings.append(Finding("time", f"{label}.act_p99", "regression", detail))
-        elif n_p99 < b_p99 * (1.0 - SERVE_REL_TOL):
-            findings.append(Finding("time", f"{label}.act_p99", "improvement", detail))
-        else:
-            findings.append(Finding("time", f"{label}.act_p99", "ok", detail))
 
 
-def _compare_native(
+def _compare_sweep(
+    spec: Sweep,
     base: Optional[dict],
     new: Optional[dict],
     *,
     gate_time: bool,
     findings: list,
 ) -> None:
-    """Sentinel findings for the ``native_throughput`` sweep.
+    """Sentinel findings for one fleet-sweep snapshot key.
 
-    Two gates with different portability.  ``speedup_vs_vectorized``
-    is a ratio of two back-to-back timings in one process, so it is
-    meaningful across machine fingerprints and gates unconditionally
-    (band ``NATIVE_REL_TOL``) — this is the sentinel that pins the
-    native kernel's headline claim.  Absolute native ``updates_per_sec``
-    is wall-clock and only gates when the fingerprints match.  Records
-    taken with different kernel tiers or sweep shapes (quick vs full)
-    are not comparable and are skipped.
+    The ratios (``spec.ratios``) are two back-to-back timings in one
+    process, so they gate across machine fingerprints, within
+    ``SWEEP_REL_TOL``; the candidate's absolute ``updates_per_sec`` is
+    wall-clock and gates only when the fingerprints match.  Both are
+    read at the points the sweep's CLI gate reads (the largest ladder
+    point; every rule of the rule sweep).  Records whose shape fields
+    (``SWEEP_SHAPE_KEYS``) differ are not comparable and are skipped.
     """
-    if base is None and new is None:
+    label = spec.name
+    if not _both_present(label, base, new, findings):
         return
-    if base is None:
-        findings.append(
-            Finding("info", "native", "skipped", "native bench new in this snapshot")
-        )
-        return
-    if new is None:
-        findings.append(
-            Finding("info", "native", "skipped", "native bench missing from new snapshot")
-        )
-        return
-    if any(base.get(k) != new.get(k) for k in ("kernel", "quick")):
+    if any(base.get(k) != new.get(k) for k in SWEEP_SHAPE_KEYS):
         findings.append(
             Finding(
                 "time",
-                "native",
+                label,
                 "skipped",
-                "native bench shapes differ (kernel tier or sweep size); "
+                f"{label} sweep shapes differ ({', '.join(SWEEP_SHAPE_KEYS)}); "
                 "not comparable",
             )
         )
         return
-    common = sorted(
-        set(base.get("points", {})) & set(new.get("points", {})), key=int
-    )
+    b_points, n_points = base.get("points") or {}, new.get("points") or {}
+    common = [key for key in b_points if key in n_points]
     if not common:
         findings.append(
-            Finding("time", "native", "skipped", "no common lane counts between sweeps")
+            Finding("time", label, "skipped", f"no common {spec.axis} between sweeps")
         )
         return
-    lanes = common[-1]
-    b_pt, n_pt = base["points"][lanes], new["points"][lanes]
-
-    b_sp, n_sp = b_pt.get("speedup_vs_vectorized"), n_pt.get("speedup_vs_vectorized")
-    if b_sp and n_sp:
-        pct = 100.0 * (n_sp - b_sp) / b_sp
-        detail = (
-            f"speedup@{lanes} lanes {b_sp:.3g}x -> {n_sp:.3g}x "
-            f"({pct:+.1f}%, floor -{100 * NATIVE_REL_TOL:.0f}%)"
-        )
-        if n_sp < b_sp * (1.0 - NATIVE_REL_TOL):
-            findings.append(Finding("time", "native.speedup", "regression", detail))
-        elif n_sp > b_sp * (1.0 + NATIVE_REL_TOL):
-            findings.append(Finding("time", "native.speedup", "improvement", detail))
-        else:
-            findings.append(Finding("time", "native.speedup", "ok", detail))
-
-    b_ups = (b_pt.get("native") or {}).get("updates_per_sec")
-    n_ups = (n_pt.get("native") or {}).get("updates_per_sec")
-    if b_ups and n_ups:
-        if not gate_time:
+    for key in gate_points(spec, common):
+        b_pt, n_pt = b_points[key], n_points[key]
+        for field in spec.ratios:
+            b, n = b_pt.get(field), n_pt.get(field)
+            if b and n:
+                findings.append(
+                    _banded("ratio", f"{label}.{field}@{key}", field, b, n,
+                            SWEEP_REL_TOL, lower_is_better=spec.lower_is_better,
+                            unit="x")
+                )
+        side = spec.candidate.engine
+        b_ups = spec.side(b_pt, side).get("updates_per_sec")
+        n_ups = spec.side(n_pt, side).get("updates_per_sec")
+        if not (b_ups and n_ups):
+            continue
+        case = f"{label}.updates_per_sec@{key}"
+        if gate_time:
             findings.append(
-                Finding(
-                    "time",
-                    "native.updates_per_sec",
-                    "skipped",
-                    "different machine fingerprint; native wall-clock not gated",
-                )
+                _banded("time", case, f"{side} updates/s", b_ups, n_ups, SWEEP_REL_TOL)
             )
         else:
-            pct = 100.0 * (n_ups - b_ups) / b_ups
-            detail = (
-                f"native updates/s@{lanes} lanes {b_ups:.4g} -> {n_ups:.4g} "
-                f"({pct:+.1f}%, floor -{100 * NATIVE_REL_TOL:.0f}%)"
+            findings.append(
+                Finding("time", case, "skipped",
+                        f"different machine fingerprint; {label} wall-clock not gated")
             )
-            if n_ups < b_ups * (1.0 - NATIVE_REL_TOL):
-                findings.append(
-                    Finding("time", "native.updates_per_sec", "regression", detail)
-                )
-            elif n_ups > b_ups * (1.0 + NATIVE_REL_TOL):
-                findings.append(
-                    Finding("time", "native.updates_per_sec", "improvement", detail)
-                )
-            else:
-                findings.append(Finding("time", "native.updates_per_sec", "ok", detail))
 
 
 def render_comparison(result: CompareResult) -> str:

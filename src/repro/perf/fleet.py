@@ -1,94 +1,197 @@
-"""Fleet throughput sweep: scalar lane loop vs vectorized array program.
+"""Fleet throughput sweeps: one paired-timing loop, four variants.
 
-The fleet API (:class:`repro.core.batch.BatchIndependentSimulator`) runs
-``n_lanes`` bit-identical learners behind one interface, with two
-backends: ``scalar`` (a pure-Python loop of per-lane functional
-simulators — the reference baseline) and ``vectorized`` (the numpy
-lock-step array program).  This sweep measures both at a ladder of lane
-counts and reports per-update throughput and the paired speedup, the
-number that justifies the array program's existence: the vectorized
-backend amortises interpreter dispatch over the lane axis, so its
-advantage should *grow* with ``n_lanes`` (≈1× at one lane, ≥10× by a
-few thousand).
+The paper backs its throughput claims with a paired measurement of two
+implementations of one workload (Table II: CPU against FPGA).  A sweep
+makes that measurement for the fleet backends (:mod:`repro.backends`):
+a *candidate* and a *baseline* engine run the same Q-learning fleet
+back to back at each point of a ladder, and the record carries
+per-update throughput for both sides plus the median of the paired
+per-round ratios.  The four variants in :data:`SWEEPS` differ only in
+data:
 
-Noise discipline matches :mod:`repro.perf.bench`: engines are
-constructed untimed, each repeat times the scalar and vectorized runs
-back-to-back in the same round, and the reported speedup is the median
-of per-round per-update ratios (drift-cancelling).  Workloads are
-normalised per *update* (``lanes x steps``), so the two backends may
-run different step counts — the scalar baseline gets a smaller budget
-at high lane counts to keep the sweep affordable.
+=========== ================ ============ ============== =========================
+variant     candidate        baseline     ladder         ratio
+=========== ================ ============ ============== =========================
+``fleet``   vectorized       scalar loop  lane counts    ``speedup``
+``rule``    vectorized+rule  qlearning    update rules   ``overhead``
+``sharded`` sharded workers  vectorized   worker counts  ``speedup_vs_vectorized``
+``native``  fused C kernel   vectorized   lane counts    ``speedup_vs_vectorized``
+=========== ================ ============ ============== =========================
 
-Results land in BENCH snapshots under the top-level
-``fleet_throughput`` key (see :mod:`repro.perf.snapshot`), and
-``python -m repro.perf fleet --smoke --min-speedup N`` gates CI on the
-vectorization win without wall-clock fingerprint games: a speedup is a
-same-machine relative measure, comparable anywhere.
+``overhead`` is candidate/baseline per update (1.0 is free, lower is
+better); the speedups are baseline/candidate (higher is better).  The
+vectorized backend amortises interpreter dispatch over the lane axis,
+so the ``fleet`` speedup grows with ``n_lanes``; the rule sweep prices
+the accelerated rules' extra tables the way Fig. 3 prices them in
+DSPs; the sharded sweep also times the scalar loop once per sweep and
+records ``speedup_vs_scalar``, the ratio that holds even on one core.
 
-:func:`run_rule_throughput` prices the accelerated update rules
-(:mod:`repro.algorithms`): each registered rule timed back-to-back with
-the plain Q-Learning baseline in the same vectorized harness, reported
-as a per-update overhead ratio (``python -m repro.perf fleet --rules
-all --max-rule-overhead 3`` is the CI gate; snapshots store the record
-under ``rule_throughput``).
+Noise discipline matches :mod:`repro.perf.bench`: engines are built
+untimed and warmed up, each round times the candidate then the
+baseline back to back, and the ratio is the median of per-round
+per-update ratios, so drift cancels.  Budgets are per update
+(``lanes x steps``), so a slow baseline gets a smaller step count.
 
-:func:`run_sharded_throughput` is the companion sweep for the
-process-parallel :class:`~repro.backends.sharded.ShardedFleetBackend`:
-a worker-count ladder at a fixed lane count, recording both the
-multi-core ratio against single-process vectorized and the
-machine-portable ratio against scalar (``python -m repro.perf fleet
---workers 1,2,4``; snapshots store it under ``sharded_throughput``).
-
-:func:`run_native_throughput` covers the fused compiled kernel
-(:class:`~repro.backends.native.NativeFleetBackend`): native vs
-vectorized back-to-back per lane count, with the machine-portable
-``speedup_vs_vectorized`` ratio as the sentinel gate (``python -m
-repro.perf fleet --backend native --min-speedup 3``; snapshots store it
-under ``native_throughput``).
+Records land in BENCH snapshots under each variant's ``key`` (see
+:mod:`repro.perf.snapshot`).  :func:`check_sweep` is the CLI gate
+(``python -m repro.perf fleet``) and :mod:`repro.perf.compare` the
+regression sentinel; both read the ratios, which are same-machine
+relative measures and so comparable anywhere.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .stats import mad, median
 
-#: Full-sweep lane ladder (the ISSUE's acceptance points).
+#: Full-sweep lane ladder.
 LANE_COUNTS = (1, 16, 256, 4096)
 
 #: Smoke ladder for CI: drops the expensive 4096-lane point.
 SMOKE_LANE_COUNTS = (1, 16, 256)
 
-#: Per-repeat update budgets (total across lanes, before the per-lane
-#: step clamp).  The scalar budget is smaller — it is the slow baseline.
-_VEC_BUDGET = 200_000
-_VEC_STEP_CAP = 2_000
-_SCALAR_BUDGET = 24_000
-_SCALAR_STEP_CAP = 600
+#: Update rules of the rule sweep (every registered rule, through its
+#: preset constructor so policies are consistent).
+RULE_NAMES = ("qlearning", "sarsa", "momentum_qlearning", "target_qlearning")
+
+#: Default worker ladder of the sharded sweep.
+WORKER_COUNTS = (1, 2, 4)
+
+
+@dataclass(frozen=True)
+class Side:
+    """One engine of a sweep and its per-repeat update budget."""
+
+    engine: str  # a :func:`repro.backends.base.fleet_backends` name
+    budget: int  # updates per repeat, across lanes
+    step_cap: int  # per-lane step ceiling
+
+    def steps(self, lanes: int, scale: int) -> int:
+        return max(1, min(self.step_cap // scale, self.budget // scale // lanes))
+
+
+_SCALAR = Side("scalar", 24_000, 600)
+_VECTORIZED = Side("vectorized", 200_000, 2_000)
+# The fused kernel retires updates 5-50x faster than the numpy program,
+# and process fan-out has fixed epoch costs that only amortise over a
+# meaningful step count: both get larger budgets.
+_NATIVE = Side("native", 2_000_000, 20_000)
+_SHARDED = Side("sharded", 400_000, 4_000)
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """The data that makes one sweep variant."""
+
+    name: str
+    key: str  # snapshot key
+    title: str
+    axis: str  # record field listing the ladder
+    label: str  # how gate messages name a ladder point
+    ladder: tuple
+    candidate: Side
+    baseline: Side
+    ratio: str  # the paired ratio's field
+    lower_is_better: bool = False
+    knob: Optional[str] = None  # what the ladder sets on the candidate only
+    n_lanes: Optional[int] = None  # default fixed lane count when ``knob`` is set
+    reference: Optional[Side] = None  # timed once; adds speedup_vs_<engine>
+    gate_all: bool = False  # gate every point (else the largest)
+    extra: Callable[[], dict] = dict  # record fields beyond the shared ones
+
+    @property
+    def ratios(self) -> tuple[str, ...]:
+        """Every ratio field of a point; the first is the default gate."""
+        ref = (f"speedup_vs_{self.reference.engine}",) if self.reference else ()
+        return (self.ratio,) + ref
+
+    @property
+    def flat(self) -> bool:
+        """Both sides run one engine (the rule sweep), so a point holds
+        the candidate's fields directly instead of one dict per engine."""
+        return self.candidate.engine == self.baseline.engine
+
+    def side(self, point: dict, engine: str) -> dict:
+        """One engine's side fields in a point (a flat point is the
+        candidate's)."""
+        return point if self.flat else point.get(engine) or {}
+
+
+def _kernel_tier() -> dict:
+    from ..backends.base import resolve_fleet_backend
+
+    return {"kernel": resolve_fleet_backend("native").kernel_tier}
+
+
+#: The four variants, in snapshot-rendering order.
+SWEEPS = {
+    s.name: s
+    for s in (
+        Sweep(
+            name="fleet",
+            key="fleet_throughput",
+            title="fleet throughput, vectorized vs scalar lane loop",
+            axis="lane_counts",
+            label="n_lanes",
+            ladder=LANE_COUNTS,
+            candidate=_VECTORIZED,
+            baseline=_SCALAR,
+            ratio="speedup",
+        ),
+        Sweep(
+            name="rule",
+            key="rule_throughput",
+            title="update-rule throughput, vectorized rule vs qlearning",
+            axis="rules",
+            label="rule",
+            ladder=RULE_NAMES,
+            candidate=_VECTORIZED,
+            baseline=_VECTORIZED,
+            ratio="overhead",
+            lower_is_better=True,
+            knob="rule",
+            n_lanes=256,
+            gate_all=True,
+        ),
+        Sweep(
+            name="sharded",
+            key="sharded_throughput",
+            title="sharded fleet throughput, sharded vs vectorized",
+            axis="worker_counts",
+            label="workers",
+            ladder=WORKER_COUNTS,
+            candidate=_SHARDED,
+            baseline=Side("vectorized", _SHARDED.budget, _SHARDED.step_cap),
+            ratio="speedup_vs_vectorized",
+            knob="num_workers",
+            n_lanes=4096,
+            reference=_SCALAR,
+            extra=lambda: {"cpu_count": os.cpu_count()},
+        ),
+        Sweep(
+            name="native",
+            key="native_throughput",
+            title="native fleet throughput, fused kernel vs vectorized",
+            axis="lane_counts",
+            label="n_lanes",
+            ladder=LANE_COUNTS,
+            candidate=_NATIVE,
+            baseline=_VECTORIZED,
+            ratio="speedup_vs_vectorized",
+            extra=_kernel_tier,
+        ),
+    )
+}
 
 
 def _mdp(size: int = 16, actions: int = 8):
     from ..envs.gridworld import GridWorld
 
     return GridWorld.empty(size, actions).to_mdp()
-
-
-def _config(**kw):
-    from ..core.config import QTAccelConfig
-
-    kw.setdefault("seed", 11)
-    kw.setdefault("qmax_mode", "follow")
-    return QTAccelConfig.qlearning(**kw)
-
-
-def _steps(budget: int, cap: int, lanes: int) -> int:
-    return max(1, min(cap, budget // lanes))
-
-
-#: Update rules covered by :func:`run_rule_throughput` (every registered
-#: rule, through its preset constructor so policies are consistent).
-RULE_NAMES = ("qlearning", "sarsa", "momentum_qlearning", "target_qlearning")
 
 
 def _rule_config(rule: str, **kw):
@@ -109,663 +212,224 @@ def _rule_config(rule: str, **kw):
     return presets[rule](**kw)
 
 
-def run_fleet_throughput(
-    *,
-    lane_counts: Sequence[int] = LANE_COUNTS,
-    repeats: int = 3,
-    warmup: int = 1,
-    quick: bool = False,
-    clock: Callable[[], float] = time.perf_counter,
-) -> dict:
-    """Measure scalar vs vectorized fleet throughput per lane count.
-
-    Returns the snapshot-embeddable record::
-
-        {
-          "lane_counts": [1, 16, 256, 4096],
-          "repeats": 3,
-          "points": {
-            "4096": {
-              "scalar":     {"steps", "updates", "seconds_median",
-                             "seconds_mad", "updates_per_sec"},
-              "vectorized": {...same keys...},
-              "speedup": 37.2,        # median of paired per-round ratios
-              "speedup_mad": 0.8,
-            },
-            ...
-          },
-        }
-
-    ``quick`` divides the update budgets by 10 (CI smoke / tests).
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be non-negative")
-    lane_counts = list(lane_counts)
-    if not lane_counts or any(l < 1 for l in lane_counts):
-        raise ValueError(f"lane_counts must be positive, got {lane_counts}")
-
-    from ..backends.scalar import ScalarFleetBackend
-    from ..backends.vectorized import VectorizedFleetBackend
-
-    mdp, cfg = _mdp(), _config()
-    scale = 10 if quick else 1
-    points: dict[str, dict] = {}
-
-    for lanes in lane_counts:
-        vec_steps = _steps(_VEC_BUDGET // scale, _VEC_STEP_CAP // scale, lanes)
-        sc_steps = _steps(_SCALAR_BUDGET // scale, _SCALAR_STEP_CAP // scale, lanes)
-
-        # Constructed once, untimed; each repeat extends the same run —
-        # steady-state throughput, no allocation cost in the loop.
-        vec = VectorizedFleetBackend(mdp, cfg, num_agents=lanes)
-        sc = ScalarFleetBackend(mdp, cfg, num_agents=lanes)
-        for _ in range(warmup):
-            vec.run(vec_steps)
-            sc.run(sc_steps)
-
-        vec_secs: list[float] = []
-        sc_secs: list[float] = []
-        ratios: list[float] = []
-        for _ in range(repeats):
-            t0 = clock()
-            vec.run(vec_steps)
-            t1 = clock()
-            sc.run(sc_steps)
-            t2 = clock()
-            vec_secs.append(t1 - t0)
-            sc_secs.append(t2 - t1)
-            # Per-update times; the ratio is scalar/vectorized = speedup.
-            v = (t1 - t0) / (lanes * vec_steps)
-            s = (t2 - t1) / (lanes * sc_steps)
-            if v > 0:
-                ratios.append(s / v)
-
-        def _side(steps: int, secs: list[float]) -> dict:
-            med = median(secs)
-            updates = lanes * steps
-            return {
-                "steps": steps,
-                "updates": updates,
-                "seconds_median": med,
-                "seconds_mad": mad(secs),
-                "updates_per_sec": updates / med if med > 0 else None,
-            }
-
-        points[str(lanes)] = {
-            "scalar": _side(sc_steps, sc_secs),
-            "vectorized": _side(vec_steps, vec_secs),
-            "speedup": median(ratios) if ratios else None,
-            "speedup_mad": mad(ratios) if ratios else None,
-        }
-
-    return {
-        "lane_counts": lane_counts,
-        "repeats": repeats,
-        "quick": quick,
-        "points": points,
-    }
-
-
-def check_min_speedup(record: dict, min_speedup: float, *, at_lanes: Optional[int] = None) -> tuple[bool, str]:
-    """Gate a sweep record: does the largest measured lane count (or
-    ``at_lanes``) reach ``min_speedup``?  Returns ``(ok, message)``."""
-    points = record.get("points") or {}
-    if not points:
-        return False, "fleet sweep has no measured points"
-    lanes = at_lanes if at_lanes is not None else max(int(k) for k in points)
-    entry = points.get(str(lanes))
-    if entry is None:
-        return False, f"no fleet point at n_lanes={lanes}"
-    speedup = entry.get("speedup")
-    if speedup is None:
-        return False, f"no speedup recorded at n_lanes={lanes}"
-    ok = speedup >= min_speedup
-    verdict = "ok" if ok else "FAIL"
-    return ok, (
-        f"fleet speedup at n_lanes={lanes}: {speedup:.2f}x "
-        f"(floor {min_speedup:g}x) {verdict}"
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Update-rule sweep: vectorized throughput per registered rule
-# ---------------------------------------------------------------------- #
-
-
-def run_rule_throughput(
-    *,
-    rules: Sequence[str] = RULE_NAMES,
-    n_lanes: int = 256,
-    repeats: int = 3,
-    warmup: int = 1,
-    quick: bool = False,
-    clock: Callable[[], float] = time.perf_counter,
-) -> dict:
-    """Measure vectorized fleet throughput for each update rule.
-
-    The accelerated rules (:mod:`repro.algorithms`) add extra per-lane
-    tables and stage-3/4 arithmetic; this sweep prices that in software
-    the way Fig. 3 prices it in DSPs.  Each rule is timed back-to-back
-    with the plain Q-Learning baseline in the same round, and
-    ``overhead`` is the median of the paired per-update ratios
-    (rule/baseline — 1.0 means free, 2.0 means half the throughput).
-
-    Returns the snapshot-embeddable record stored under the
-    ``rule_throughput`` key::
-
-        {
-          "n_lanes": 256, "repeats": 3,
-          "points": {
-            "momentum_qlearning": {"steps", "updates", "seconds_median",
-                                   "seconds_mad", "updates_per_sec",
-                                   "overhead", "overhead_mad"},
-            ...
-          },
-        }
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be non-negative")
-    rules = list(rules)
-    if not rules:
-        raise ValueError("rules must be non-empty")
-    if n_lanes < 1:
-        raise ValueError(f"n_lanes must be positive, got {n_lanes}")
-
-    from ..backends.vectorized import VectorizedFleetBackend
-
-    mdp = _mdp()
-    scale = 10 if quick else 1
-    steps = _steps(_VEC_BUDGET // scale, _VEC_STEP_CAP // scale, n_lanes)
-
-    base = VectorizedFleetBackend(
-        mdp, _rule_config("qlearning"), num_agents=n_lanes
-    )
-    points: dict[str, dict] = {}
-    for rule in rules:
-        eng = VectorizedFleetBackend(mdp, _rule_config(rule), num_agents=n_lanes)
-        for _ in range(warmup):
+def _time_rounds(engines, *, repeats: int, warmup: int, clock) -> list[list[float]]:
+    """Warm every ``(engine, steps)`` up, then run them back to back in
+    each of ``repeats`` rounds; returns per-engine seconds lists."""
+    for _ in range(warmup):
+        for eng, steps in engines:
             eng.run(steps)
-            base.run(steps)
-        secs: list[float] = []
-        ratios: list[float] = []
-        for _ in range(repeats):
-            t0 = clock()
+    secs: list[list[float]] = [[] for _ in engines]
+    for _ in range(repeats):
+        prev = clock()
+        for out, (eng, steps) in zip(secs, engines):
             eng.run(steps)
-            t1 = clock()
-            base.run(steps)
-            t2 = clock()
-            secs.append(t1 - t0)
-            if (t2 - t1) > 0:
-                ratios.append((t1 - t0) / (t2 - t1))
-        med = median(secs)
-        updates = n_lanes * steps
-        points[rule] = {
-            "steps": steps,
-            "updates": updates,
-            "seconds_median": med,
-            "seconds_mad": mad(secs),
-            "updates_per_sec": updates / med if med > 0 else None,
-            "overhead": median(ratios) if ratios else None,
-            "overhead_mad": mad(ratios) if ratios else None,
-        }
+            now = clock()
+            out.append(now - prev)
+            prev = now
+    return secs
 
+
+def _side_record(lanes: int, steps: int, secs: list[float]) -> dict:
+    med = median(secs)
+    updates = lanes * steps
     return {
-        "n_lanes": n_lanes,
-        "repeats": repeats,
-        "quick": quick,
         "steps": steps,
-        "points": points,
+        "updates": updates,
+        "seconds_median": med,
+        "seconds_mad": mad(secs),
+        "updates_per_sec": updates / med if med > 0 else None,
     }
 
 
-def check_rule_overhead(record: dict, max_overhead: float) -> tuple[bool, str]:
-    """Gate a rule sweep record: every rule's per-update overhead vs the
-    plain Q-Learning baseline must stay at or under ``max_overhead``.
-    Returns ``(ok, message)``."""
-    points = record.get("points") or {}
-    if not points:
-        return False, "rule sweep has no measured points"
-    worst_rule, worst = None, None
-    for rule, entry in points.items():
-        overhead = entry.get("overhead")
-        if overhead is None:
-            return False, f"no overhead recorded for rule {rule!r}"
-        if worst is None or overhead > worst:
-            worst_rule, worst = rule, overhead
-    ok = worst <= max_overhead
-    verdict = "ok" if ok else "FAIL"
-    return ok, (
-        f"worst rule overhead: {worst_rule} {worst:.2f}x vs qlearning "
-        f"(ceiling {max_overhead:g}x) {verdict}"
-    )
-
-
-def render_rule_throughput(record: dict) -> str:
-    """Human-readable table of one rule sweep record."""
-    out = [
-        f"update-rule throughput (vectorized, n_lanes={record.get('n_lanes')}, "
-        "per update):"
-    ]
-    header = f"{'rule':>20s} {'up/s':>14s} {'overhead':>9s}"
-    out.append(header)
-    out.append("-" * len(header))
-
-    def _fmt(v):
-        return f"{v:,.0f}" if isinstance(v, (int, float)) else "-"
-
-    for rule, p in (record.get("points") or {}).items():
-        ov = p.get("overhead")
-        out.append(
-            f"{rule:>20s} {_fmt(p.get('updates_per_sec')):>14s} "
-            f"{(f'{ov:.2f}x' if ov is not None else '-'):>9s}"
-        )
-    return "\n".join(out)
-
-
-# ---------------------------------------------------------------------- #
-# Sharded sweep: worker-count ladder at a fixed lane count
-# ---------------------------------------------------------------------- #
-
-#: Per-repeat update budget for the sharded sweep (larger than the
-#: vectorized sweep's — process fan-out has fixed epoch costs that only
-#: amortise over a meaningful step count).
-_SHARD_BUDGET = 400_000
-_SHARD_STEP_CAP = 4_000
-
-#: Default worker ladder for ``run_sharded_throughput``.
-WORKER_COUNTS = (1, 2, 4)
-
-
-def run_sharded_throughput(
+def run_sweep(
+    name: str,
+    ladder: Optional[Sequence] = None,
     *,
-    worker_counts: Sequence[int] = WORKER_COUNTS,
-    n_lanes: int = 4096,
+    n_lanes: Optional[int] = None,
     repeats: int = 3,
     warmup: int = 1,
     quick: bool = False,
     clock: Callable[[], float] = time.perf_counter,
     mp_context: str = "spawn",
 ) -> dict:
-    """Measure sharded fleet throughput across a worker-count ladder.
+    """Run one sweep variant of :data:`SWEEPS`; returns its snapshot record.
 
-    Every point runs the *same* ``n_lanes``-lane workload three ways —
-    sharded (at that worker count), single-process vectorized, and (once
-    per sweep) the scalar lane loop — so the record carries both
-    speedups: ``speedup_vs_vectorized`` answers "does adding processes
-    pay on this machine?" and ``speedup_vs_scalar`` is the
-    machine-portable CI gate (sharded inherits the array program's
-    10-30x scalar win even on a single core, so the gate holds where
-    the multi-core ratio legitimately cannot).
-
-    Checkpointing is disabled (``checkpoint_interval=0``) and the epoch
-    is set to the whole repeat so the number isolates steady-state shard
-    throughput, not supervisor overhead.  Returns the
-    snapshot-embeddable record stored under ``sharded_throughput``.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be non-negative")
-    worker_counts = list(worker_counts)
-    if not worker_counts or any(w < 1 for w in worker_counts):
-        raise ValueError(f"worker_counts must be positive, got {worker_counts}")
-    if n_lanes < 1:
-        raise ValueError(f"n_lanes must be positive, got {n_lanes}")
-
-    import os
-
-    from ..backends.scalar import ScalarFleetBackend
-    from ..backends.sharded import ShardedFleetBackend
-    from ..backends.vectorized import VectorizedFleetBackend
-
-    mdp, cfg = _mdp(), _config()
-    scale = 10 if quick else 1
-    steps = _steps(_SHARD_BUDGET // scale, _SHARD_STEP_CAP // scale, n_lanes)
-    sc_steps = _steps(_SCALAR_BUDGET // scale, _SCALAR_STEP_CAP // scale, n_lanes)
-
-    # Scalar baseline: measured once per sweep (it does not vary with
-    # the worker count) and shared by every point's scalar speedup.
-    sc = ScalarFleetBackend(mdp, cfg, num_agents=n_lanes)
-    for _ in range(warmup):
-        sc.run(sc_steps)
-    sc_secs: list[float] = []
-    for _ in range(repeats):
-        t0 = clock()
-        sc.run(sc_steps)
-        sc_secs.append(clock() - t0)
-    sc_med = median(sc_secs)
-    sc_per_update = sc_med / (n_lanes * sc_steps) if sc_med > 0 else None
-
-    def _side(side_steps: int, secs: list[float]) -> dict:
-        med = median(secs)
-        updates = n_lanes * side_steps
-        return {
-            "steps": side_steps,
-            "updates": updates,
-            "seconds_median": med,
-            "seconds_mad": mad(secs),
-            "updates_per_sec": updates / med if med > 0 else None,
-        }
-
-    points: dict[str, dict] = {}
-    for workers in worker_counts:
-        shard = ShardedFleetBackend(
-            mdp,
-            cfg,
-            num_agents=n_lanes,
-            num_workers=workers,
-            epoch=steps,
-            checkpoint_interval=0,
-            mp_context=mp_context,
-        )
-        try:
-            vec = VectorizedFleetBackend(mdp, cfg, num_agents=n_lanes)
-            for _ in range(warmup):
-                shard.run(steps)
-                vec.run(steps)
-            shard_secs: list[float] = []
-            vec_secs: list[float] = []
-            ratios: list[float] = []
-            for _ in range(repeats):
-                t0 = clock()
-                shard.run(steps)
-                t1 = clock()
-                vec.run(steps)
-                t2 = clock()
-                shard_secs.append(t1 - t0)
-                vec_secs.append(t2 - t1)
-                if (t1 - t0) > 0:
-                    ratios.append((t2 - t1) / (t1 - t0))
-        finally:
-            shard.close()
-
-        shard_med = median(shard_secs)
-        shard_per_update = (
-            shard_med / (n_lanes * steps) if shard_med > 0 else None
-        )
-        points[str(workers)] = {
-            "sharded": _side(steps, shard_secs),
-            "vectorized": _side(steps, vec_secs),
-            "speedup_vs_vectorized": median(ratios) if ratios else None,
-            "speedup_vs_vectorized_mad": mad(ratios) if ratios else None,
-            "speedup_vs_scalar": (
-                sc_per_update / shard_per_update
-                if sc_per_update and shard_per_update
-                else None
-            ),
-        }
-
-    return {
-        "n_lanes": n_lanes,
-        "worker_counts": worker_counts,
-        "repeats": repeats,
-        "quick": quick,
-        "cpu_count": os.cpu_count(),
-        "steps": steps,
-        "scalar": _side(sc_steps, sc_secs),
-        "points": points,
-    }
-
-
-def check_sharded_speedup(
-    record: dict,
-    min_speedup: float,
-    *,
-    vs: str = "scalar",
-    at_workers: Optional[int] = None,
-) -> tuple[bool, str]:
-    """Gate a sharded sweep record against a speedup floor.
-
-    ``vs`` chooses the ratio: ``"scalar"`` (machine-portable, the CI
-    default) or ``"vectorized"`` (only meaningful on multi-core hosts).
-    Checks the largest measured worker count unless ``at_workers`` pins
-    a specific ladder point.  Returns ``(ok, message)``.
-    """
-    if vs not in ("scalar", "vectorized"):
-        raise ValueError(f"vs must be 'scalar' or 'vectorized', got {vs!r}")
-    points = record.get("points") or {}
-    if not points:
-        return False, "sharded sweep has no measured points"
-    workers = at_workers if at_workers is not None else max(int(k) for k in points)
-    entry = points.get(str(workers))
-    if entry is None:
-        return False, f"no sharded point at workers={workers}"
-    speedup = entry.get(f"speedup_vs_{vs}")
-    if speedup is None:
-        return False, f"no speedup_vs_{vs} recorded at workers={workers}"
-    ok = speedup >= min_speedup
-    verdict = "ok" if ok else "FAIL"
-    return ok, (
-        f"sharded speedup vs {vs} at workers={workers}: {speedup:.2f}x "
-        f"(floor {min_speedup:g}x) {verdict}"
-    )
-
-
-def render_sharded_throughput(record: dict) -> str:
-    """Human-readable table of one sharded sweep record."""
-    lanes = record.get("n_lanes")
-    cpus = record.get("cpu_count")
-    out = [
-        f"sharded fleet throughput (n_lanes={lanes}, host cpus={cpus}, per update):"
-    ]
-    header = (
-        f"{'workers':>8s} {'sharded up/s':>14s} {'vector up/s':>14s} "
-        f"{'vs vector':>10s} {'vs scalar':>10s}"
-    )
-    out.append(header)
-    out.append("-" * len(header))
-
-    def _fmt(v):
-        return f"{v:,.0f}" if isinstance(v, (int, float)) else "-"
-
-    def _x(v):
-        return f"{v:.2f}x" if isinstance(v, (int, float)) else "-"
-
-    for workers in sorted((record.get("points") or {}), key=int):
-        p = record["points"][workers]
-        out.append(
-            f"{workers:>8s} {_fmt((p.get('sharded') or {}).get('updates_per_sec')):>14s} "
-            f"{_fmt((p.get('vectorized') or {}).get('updates_per_sec')):>14s} "
-            f"{_x(p.get('speedup_vs_vectorized')):>10s} "
-            f"{_x(p.get('speedup_vs_scalar')):>10s}"
-        )
-    return "\n".join(out)
-
-
-# ---------------------------------------------------------------------- #
-# Native sweep: fused compiled kernel vs the vectorized array program
-# ---------------------------------------------------------------------- #
-
-#: Per-repeat update budget for the native sweep (the fused kernel
-#: retires updates 5-50x faster than the numpy program, so it gets a
-#: proportionally larger budget at the same wall-clock cost).
-_NATIVE_BUDGET = 2_000_000
-_NATIVE_STEP_CAP = 20_000
-
-
-def run_native_throughput(
-    *,
-    lane_counts: Sequence[int] = LANE_COUNTS,
-    repeats: int = 3,
-    warmup: int = 1,
-    quick: bool = False,
-    clock: Callable[[], float] = time.perf_counter,
-) -> dict:
-    """Measure native fused-kernel vs vectorized fleet throughput.
-
-    The native backend (:class:`~repro.backends.native.NativeFleetBackend`)
-    fuses the whole lock-step program — which the vectorized backend
-    spreads over ~40 numpy array ops and ~10 temporaries per step —
-    into one compiled lane-outer/step-inner pass.  This sweep times both
-    back-to-back at each lane count; ``speedup_vs_vectorized`` is the
-    median of paired per-update ratios (machine-portable, the CI
-    sentinel's gate at 4096 lanes).
-
-    Raises :class:`~repro.backends.native.NativeBackendUnavailableError`
-    when no C compiler exists.  Returns the snapshot-embeddable record
-    stored under ``native_throughput`` (``kernel`` is the backend's
-    ``kernel_tier``)::
+    ``ladder`` overrides the variant's default ladder (lane counts,
+    rule names or worker counts); ``n_lanes`` the fixed lane count of
+    the rule and sharded variants.  ``quick`` divides every update
+    budget by 10 (CI smoke / tests).  The record::
 
         {
-          "lane_counts": [1, 16, 256, 4096],
-          "repeats": 3, "kernel": "cc",
+          "<axis>": [...], "repeats": 3, "quick": false,
+          # rule/sharded: "n_lanes", "steps"; sharded: "cpu_count" and
+          # the "scalar" reference side; native: "kernel"
           "points": {
             "4096": {
-              "native":     {"steps", "updates", "seconds_median",
-                             "seconds_mad", "updates_per_sec"},
-              "vectorized": {...same keys...},
-              "speedup_vs_vectorized": 6.1,
-              "speedup_vs_vectorized_mad": 0.2,
+              "<candidate>": {"steps", "updates", "seconds_median",
+                              "seconds_mad", "updates_per_sec"},
+              "<baseline>":  {...same keys...},
+              "<ratio>": 6.1, "<ratio>_mad": 0.2,
             },
             ...
           },
         }
+
+    A rule-sweep point holds the candidate's side fields directly.
+    Raises :class:`~repro.backends.native.NativeBackendUnavailableError`
+    for ``native`` when no C compiler exists.
     """
+    spec = SWEEPS[name]
+    ladder = list(spec.ladder if ladder is None else ladder)
+    if n_lanes is None:
+        n_lanes = spec.n_lanes
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be non-negative")
-    lane_counts = list(lane_counts)
-    if not lane_counts or any(l < 1 for l in lane_counts):
-        raise ValueError(f"lane_counts must be positive, got {lane_counts}")
+    if not ladder:
+        raise ValueError(f"{spec.axis} must be non-empty")
+    if spec.knob == "rule":
+        for rule in ladder:
+            _rule_config(rule)  # KeyError names an unknown rule up front
+    elif any(x < 1 for x in ladder):
+        raise ValueError(f"{spec.axis} must be positive, got {ladder}")
+    if n_lanes is not None and n_lanes < 1:
+        raise ValueError(f"n_lanes must be positive, got {n_lanes}")
 
-    from ..backends.native import NativeFleetBackend
-    from ..backends.vectorized import VectorizedFleetBackend
+    from ..backends.base import make_fleet_backend
 
-    mdp, cfg = _mdp(), _config()
-    scale = 10 if quick else 1
+    mdp, scale = _mdp(), 10 if quick else 1
+
+    def measure(sides, lanes: int) -> list[list[float]]:
+        """Build one engine per ``(side, knob)`` untimed, time them with
+        :func:`_time_rounds`, and close them."""
+        engines = []
+        try:
+            for side, knob in sides:
+                kw = dict(knob)
+                steps = side.steps(lanes, scale)
+                if side.engine == "sharded":
+                    # The epoch spans a whole repeat and checkpoints are
+                    # off: the number is steady-state shard throughput.
+                    kw.update(epoch=steps, checkpoint_interval=0, mp_context=mp_context)
+                cfg = _rule_config(kw.pop("rule", "qlearning"))
+                eng = make_fleet_backend(
+                    mdp, cfg, backend=side.engine, num_agents=lanes, **kw
+                )
+                engines.append((eng, steps))
+            return _time_rounds(engines, repeats=repeats, warmup=warmup, clock=clock)
+        finally:
+            for eng, _ in engines:
+                if hasattr(eng, "close"):
+                    eng.close()
+
+    record: dict = {spec.axis: ladder, "repeats": repeats, "quick": quick}
+    if spec.knob is not None:
+        record["n_lanes"] = n_lanes
+        record["steps"] = spec.candidate.steps(n_lanes, scale)
+    record.update(spec.extra())
+    reference = None
+    if spec.reference is not None:
+        (secs,) = measure([(spec.reference, {})], n_lanes)
+        reference = _side_record(n_lanes, spec.reference.steps(n_lanes, scale), secs)
+        record[spec.reference.engine] = reference
+
     points: dict[str, dict] = {}
-
-    for lanes in lane_counts:
-        nat_steps = _steps(_NATIVE_BUDGET // scale, _NATIVE_STEP_CAP // scale, lanes)
-        vec_steps = _steps(_VEC_BUDGET // scale, _VEC_STEP_CAP // scale, lanes)
-
-        nat = NativeFleetBackend(mdp, cfg, num_agents=lanes)
-        vec = VectorizedFleetBackend(mdp, cfg, num_agents=lanes)
-        # First native run also pays any one-time compile cost —
-        # always warm at least once so repeats see the steady state.
-        nat.run(nat_steps)
-        vec.run(vec_steps)
-        for _ in range(max(0, warmup - 1)):
-            nat.run(nat_steps)
-            vec.run(vec_steps)
-
-        nat_secs: list[float] = []
-        vec_secs: list[float] = []
-        ratios: list[float] = []
-        for _ in range(repeats):
-            t0 = clock()
-            nat.run(nat_steps)
-            t1 = clock()
-            vec.run(vec_steps)
-            t2 = clock()
-            nat_secs.append(t1 - t0)
-            vec_secs.append(t2 - t1)
-            n = (t1 - t0) / (lanes * nat_steps)
-            v = (t2 - t1) / (lanes * vec_steps)
-            if n > 0:
-                ratios.append(v / n)
-
-        def _side(steps: int, secs: list[float]) -> dict:
-            med = median(secs)
-            updates = lanes * steps
-            return {
-                "steps": steps,
-                "updates": updates,
-                "seconds_median": med,
-                "seconds_mad": mad(secs),
-                "updates_per_sec": updates / med if med > 0 else None,
+    for x in ladder:
+        lanes = n_lanes if spec.knob is not None else x
+        knob = {spec.knob: x} if spec.knob is not None else {}
+        c_steps = spec.candidate.steps(lanes, scale)
+        b_steps = spec.baseline.steps(lanes, scale)
+        c_secs, b_secs = measure([(spec.candidate, knob), (spec.baseline, {})], lanes)
+        ratios = []
+        for c, b in zip(c_secs, b_secs):
+            per_c, per_b = c / (lanes * c_steps), b / (lanes * b_steps)
+            num, den = (per_c, per_b) if spec.lower_is_better else (per_b, per_c)
+            if den > 0:
+                ratios.append(num / den)
+        cand = _side_record(lanes, c_steps, c_secs)
+        if spec.flat:
+            point = dict(cand)
+        else:
+            point = {
+                spec.candidate.engine: cand,
+                spec.baseline.engine: _side_record(lanes, b_steps, b_secs),
             }
-
-        points[str(lanes)] = {
-            "native": _side(nat_steps, nat_secs),
-            "vectorized": _side(vec_steps, vec_secs),
-            "speedup_vs_vectorized": median(ratios) if ratios else None,
-            "speedup_vs_vectorized_mad": mad(ratios) if ratios else None,
-        }
-
-    return {
-        "lane_counts": lane_counts,
-        "repeats": repeats,
-        "quick": quick,
-        "kernel": NativeFleetBackend.kernel_tier,
-        "points": points,
-    }
+        point[spec.ratio] = median(ratios) if ratios else None
+        point[f"{spec.ratio}_mad"] = mad(ratios) if ratios else None
+        if reference is not None:
+            c_ups, r_ups = cand["updates_per_sec"], reference["updates_per_sec"]
+            point[spec.ratios[1]] = c_ups / r_ups if c_ups and r_ups else None
+        points[str(x)] = point
+    record["points"] = points
+    return record
 
 
-def check_native_speedup(
-    record: dict, min_speedup: float, *, at_lanes: Optional[int] = None
+def gate_points(spec: Sweep, keys) -> list[str]:
+    """The ladder points a gate reads: every point of a ``gate_all``
+    sweep (so its worst one decides), else the largest."""
+    keys = list(keys)
+    return keys if spec.gate_all else [max(keys, key=int)]
+
+
+def check_sweep(
+    name: str,
+    record: dict,
+    bound: float,
+    *,
+    ratio: Optional[str] = None,
 ) -> tuple[bool, str]:
-    """Gate a native sweep record: ``speedup_vs_vectorized`` at the
-    largest measured lane count (or ``at_lanes``) must reach
-    ``min_speedup``.  Returns ``(ok, message)``."""
+    """Gate a sweep record: ``ratio`` (default: the variant's paired
+    ratio) must reach ``bound`` — a floor for speedups, a ceiling for
+    ``overhead`` — at every point :func:`gate_points` picks.  Returns
+    ``(ok, message)``."""
+    spec = SWEEPS[name]
+    ratio = ratio or spec.ratio
+    if ratio not in spec.ratios:
+        raise ValueError(f"{name} sweep records {spec.ratios}, not {ratio!r}")
     points = record.get("points") or {}
     if not points:
-        return False, "native sweep has no measured points"
-    lanes = at_lanes if at_lanes is not None else max(int(k) for k in points)
-    entry = points.get(str(lanes))
-    if entry is None:
-        return False, f"no native point at n_lanes={lanes}"
-    speedup = entry.get("speedup_vs_vectorized")
-    if speedup is None:
-        return False, f"no speedup_vs_vectorized recorded at n_lanes={lanes}"
-    ok = speedup >= min_speedup
-    verdict = "ok" if ok else "FAIL"
+        return False, f"{name} sweep has no measured points"
+    values = {}
+    for key in gate_points(spec, points):
+        values[key] = points[key].get(ratio)
+        if values[key] is None:
+            return False, f"no {ratio} recorded at {spec.label}={key}"
+    key = (max if spec.lower_is_better else min)(values, key=values.get)
+    value = values[key]
+    ok = value <= bound if spec.lower_is_better else value >= bound
     return ok, (
-        f"native speedup vs vectorized at n_lanes={lanes} "
-        f"(kernel={record.get('kernel')}): {speedup:.2f}x "
-        f"(floor {min_speedup:g}x) {verdict}"
+        f"{name} {ratio.replace('_', ' ')} at {spec.label}={key}: {value:.2f}x "
+        f"({'ceiling' if spec.lower_is_better else 'floor'} {bound:g}x) "
+        f"{'ok' if ok else 'FAIL'}"
     )
 
 
-def render_native_throughput(record: dict) -> str:
-    """Human-readable table of one native sweep record."""
-    out = [
-        f"native fleet throughput (fused {record.get('kernel')} kernel vs "
-        "vectorized, per update):"
-    ]
-    header = (
-        f"{'n_lanes':>8s} {'native up/s':>14s} {'vector up/s':>14s} {'speedup':>9s}"
-    )
-    out.append(header)
-    out.append("-" * len(header))
-
-    def _fmt(v):
-        return f"{v:,.0f}" if isinstance(v, (int, float)) else "-"
-
-    for lanes in sorted((record.get("points") or {}), key=int):
-        p = record["points"][lanes]
-        sp = p.get("speedup_vs_vectorized")
-        out.append(
-            f"{lanes:>8s} {_fmt((p.get('native') or {}).get('updates_per_sec')):>14s} "
-            f"{_fmt((p.get('vectorized') or {}).get('updates_per_sec')):>14s} "
-            f"{(f'{sp:.2f}x' if sp is not None else '-'):>9s}"
-        )
-    return "\n".join(out)
-
-
-def render_fleet_throughput(record: dict) -> str:
+def render_sweep(name: str, record: dict) -> str:
     """Human-readable table of one sweep record."""
-    out = ["fleet throughput (vectorized vs scalar lane loop, per update):"]
-    header = (
-        f"{'n_lanes':>8s} {'scalar up/s':>14s} {'vector up/s':>14s} {'speedup':>9s}"
+    spec = SWEEPS[name]
+    params = "".join(
+        f"{k}={record[k]}, " for k in ("n_lanes", "kernel", "cpu_count") if k in record
     )
-    out.append(header)
-    out.append("-" * len(header))
-
-    def _fmt(v):
-        return f"{v:,.0f}" if isinstance(v, (int, float)) else "-"
-
-    for lanes in sorted((record.get("points") or {}), key=int):
-        p = record["points"][lanes]
-        sp = p.get("speedup")
-        out.append(
-            f"{lanes:>8s} {_fmt((p.get('scalar') or {}).get('updates_per_sec')):>14s} "
-            f"{_fmt((p.get('vectorized') or {}).get('updates_per_sec')):>14s} "
-            f"{(f'{sp:.2f}x' if sp is not None else '-'):>9s}"
-        )
+    sides = [spec.candidate.engine] + ([] if spec.flat else [spec.baseline.engine])
+    heads = [r.replace("speedup_vs_", "vs ") for r in spec.ratios]
+    points = record.get("points") or {}
+    keys = sorted(points, key=int) if all(k.isdigit() for k in points) else list(points)
+    width = max([len(spec.label)] + [len(k) for k in keys])
+    header = (
+        f"{spec.label:>{width}s}"
+        + "".join(f" {s + ' up/s':>16s}" for s in sides)
+        + "".join(f" {h:>14s}" for h in heads)
+    )
+    out = [f"{spec.title} ({params}per update):", header, "-" * len(header)]
+    for key in keys:
+        p = points[key]
+        row = f"{key:>{width}s}"
+        for s in sides:
+            ups = spec.side(p, s).get("updates_per_sec")
+            row += f" {f'{ups:,.0f}' if ups is not None else '-':>16s}"
+        for r in spec.ratios:
+            v = p.get(r)
+            row += f" {f'{v:.2f}x' if v is not None else '-':>14s}"
+        out.append(row)
     return "\n".join(out)

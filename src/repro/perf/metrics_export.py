@@ -24,7 +24,9 @@ mid-flight scrape costs nothing when no emitter is registered and a
 clock check when one is.
 
 :func:`validate_openmetrics` is the conformance checker the golden
-fixture test and the live fleet-run test share.
+fixture test and the live fleet-run test share, and
+:func:`counters_from_openmetrics` parses the text back into a flat
+counter dict (the SLO report reads scrapes through it).
 """
 
 from __future__ import annotations
@@ -153,6 +155,66 @@ def render_openmetrics(
     if eof:
         lines.append("# EOF")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------- #
+# Parsing
+# ---------------------------------------------------------------------- #
+
+
+def counters_from_openmetrics(text: str) -> dict:
+    """Parse ``render_openmetrics`` output back into a flat counter dict.
+
+    Counters and gauges come back as numbers keyed by their dotted
+    instrument name; histograms come back as summary dicts
+    (``count``/``sum``/``buckets``) — the shape a registry ``as_dict()``
+    produces, minus the ``min``/``max`` the format does not carry — so
+    :func:`repro.obs.slo.slo_report` accepts either source.
+    """
+    flat: dict = {}
+    hists: dict[str, dict] = {}
+    cumulative: dict[str, list[tuple[float, float]]] = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        m = _SAMPLE_RE.match(line)
+        if not m:
+            continue
+        metric = m.group("name")
+        labels_raw = m.group("labels") or ""
+        value_raw = m.group("value")
+        labels = dict(re.findall(r'(\w+)="([^"]*)"', labels_raw))
+        name = labels.get("name")
+        if not name:
+            continue
+        value = float(value_raw)
+        if metric.endswith("_counter_total") or metric.endswith("_gauge"):
+            flat[name] = value
+        elif metric.endswith("_histogram_bucket"):
+            le = labels.get("le", "+Inf")
+            bound = float("inf") if le == "+Inf" else float(le)
+            cumulative.setdefault(name, []).append((bound, value))
+        elif metric.endswith("_histogram_count"):
+            hists.setdefault(name, {})["count"] = int(value)
+        elif metric.endswith("_histogram_sum"):
+            hists.setdefault(name, {})["sum"] = value
+    for name, pairs in cumulative.items():
+        pairs.sort()
+        buckets: dict[str, int] = {}
+        prev = 0.0
+        for bound, cum in pairs:
+            n = int(cum - prev)
+            prev = cum
+            if bound == float("inf"):
+                buckets["overflow"] = n
+            else:
+                key = f"le_{int(bound)}" if float(bound).is_integer() else f"le_{bound}"
+                buckets[key] = n
+        summary = hists.setdefault(name, {})
+        summary.setdefault("count", int(pairs[-1][1]) if pairs else 0)
+        summary["buckets"] = buckets
+    flat.update(hists)
+    return flat
 
 
 # ---------------------------------------------------------------------- #

@@ -165,32 +165,12 @@ class TestDeprecationShims:
 
 
 class TestFleetThroughputSweep:
-    def test_quick_sweep_records_points(self):
-        from repro.perf.fleet import (
-            check_min_speedup,
-            render_fleet_throughput,
-            run_fleet_throughput,
-        )
-
-        record = run_fleet_throughput(
-            lane_counts=(1, 32), repeats=2, warmup=0, quick=True
-        )
-        assert set(record["points"]) == {"1", "32"}
-        for point in record["points"].values():
-            assert point["scalar"]["updates_per_sec"] > 0
-            assert point["vectorized"]["updates_per_sec"] > 0
-            assert point["speedup"] is not None
-        ok, message = check_min_speedup(record, 1e9)
-        assert not ok and "n_lanes=32" in message
-        text = render_fleet_throughput(record)
-        assert "n_lanes" in text and "32" in text
-
     def test_snapshot_embeds_fleet_record(self, tmp_path):
         from repro.perf import build_snapshot, load_snapshot, run_bench, write_snapshot
-        from repro.perf.fleet import run_fleet_throughput
+        from repro.perf.fleet import run_sweep
 
         results = run_bench(cases=["functional"], repeats=1, warmup=0, quick=True)
-        record = run_fleet_throughput(lane_counts=(8,), repeats=1, warmup=0, quick=True)
+        record = run_sweep("fleet", (8,), repeats=1, warmup=0, quick=True)
         snap = build_snapshot(results, fleet_throughput=record)
         path = write_snapshot(snap, tmp_path / "BENCH_t.json")
         loaded = load_snapshot(path)

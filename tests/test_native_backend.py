@@ -289,67 +289,56 @@ class TestCheckpoint:
 
 
 # ---------------------------------------------------------------------- #
-# Perf plumbing: the sweep record and its sentinel gate
+# Perf plumbing: the sentinel over the native sweep key
 # ---------------------------------------------------------------------- #
 
 
 class TestNativeSweepRecord:
-    def _record(self):
-        from repro.perf.fleet import run_native_throughput
+    @staticmethod
+    def _snapshots(base_rec, new_rec):
+        from repro.perf.snapshot import build_snapshot
 
-        fake = iter(float(i) * 0.5 for i in range(10_000))
-        return run_native_throughput(
-            lane_counts=(4,), repeats=2, quick=True, clock=lambda: next(fake),
+        return (
+            build_snapshot({}, source="base", native_throughput=base_rec),
+            build_snapshot({}, source="new", native_throughput=new_rec),
         )
 
-    def test_record_shape_and_gate(self):
-        from repro.perf.fleet import check_native_speedup
-
-        rec = self._record()
-        assert rec["kernel"] == "cc"
-        point = rec["points"]["4"]
-        assert {"native", "vectorized", "speedup_vs_vectorized"} <= set(point)
-        ok, detail = check_native_speedup(rec, min_speedup=1e9)
-        assert not ok and "4" in detail
-        ok, _ = check_native_speedup(rec, min_speedup=0.0)
-        assert ok
-
     def test_compare_sentinel_gates_speedup(self):
-        from repro.perf.compare import CompareResult, _compare_native
+        from repro.perf.compare import compare_snapshots
 
-        base = {
+        base_rec = {
             "kernel": "cc", "quick": False,
             "points": {"4096": {
                 "native": {"updates_per_sec": 5.0e7},
                 "speedup_vs_vectorized": 6.0,
             }},
         }
-        worse = {
+        worse_rec = {
             "kernel": "cc", "quick": False,
             "points": {"4096": {
                 "native": {"updates_per_sec": 4.8e7},
                 "speedup_vs_vectorized": 2.0,
             }},
         }
-        findings: list = []
-        _compare_native(base, worse, gate_time=True, findings=findings)
-        verdicts = {f.case: f.verdict for f in findings}
-        assert verdicts["native.speedup"] == "regression"
-        assert verdicts["native.updates_per_sec"] == "ok"
+        base, worse = self._snapshots(base_rec, worse_rec)
+        verdicts = {f.case: f.verdict for f in compare_snapshots(base, worse).findings}
+        assert verdicts["native.speedup_vs_vectorized@4096"] == "regression"
+        assert verdicts["native.updates_per_sec@4096"] == "ok"
 
         # The speedup ratio gates even across machine fingerprints;
         # absolute wall-clock does not.
-        findings = []
-        _compare_native(base, worse, gate_time=False, findings=findings)
-        verdicts = {f.case: f.verdict for f in findings}
-        assert verdicts["native.speedup"] == "regression"
-        assert verdicts["native.updates_per_sec"] == "skipped"
+        worse["machine"]["python"] = "3.99.0"
+        verdicts = {f.case: f.verdict for f in compare_snapshots(base, worse).findings}
+        assert verdicts["native.speedup_vs_vectorized@4096"] == "regression"
+        assert verdicts["native.updates_per_sec@4096"] == "skipped"
 
     def test_compare_sentinel_shape_guard(self):
-        from repro.perf.compare import _compare_native
+        from repro.perf.compare import compare_snapshots
 
-        base = {"kernel": "cc", "quick": False, "points": {}}
-        new = {"kernel": "cc", "quick": True, "points": {}}
-        findings: list = []
-        _compare_native(base, new, gate_time=True, findings=findings)
-        assert [f.verdict for f in findings] == ["skipped"]
+        base, new = self._snapshots(
+            {"kernel": "cc", "quick": False, "points": {}},
+            {"kernel": "cc", "quick": True, "points": {}},
+        )
+        result = compare_snapshots(base, new)
+        assert [f.verdict for f in result.findings if f.case == "native"] == ["skipped"]
+        assert result.ok

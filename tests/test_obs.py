@@ -29,7 +29,6 @@ from repro.obs.recorder import FlightRecorder, open_recorder
 from repro.obs.slo import (
     SloTracker,
     check_slo,
-    counters_from_openmetrics,
     histogram_percentile,
     sanitize_tenant,
     slo_report,
@@ -42,7 +41,7 @@ from repro.obs.tracing import (
     ctx_from_wire,
     ctx_to_wire,
 )
-from repro.perf.metrics_export import render_openmetrics
+from repro.perf.metrics_export import counters_from_openmetrics, render_openmetrics
 from repro.telemetry.counters import CounterRegistry
 
 
@@ -286,6 +285,22 @@ class TestSlo:
         )
         assert len(burned) == 2
         assert any("error budget" in v for v in burned)
+
+    def test_openmetrics_overflow_percentile_burns_every_budget(self):
+        """A scrape carries no max: a percentile in the overflow bucket
+        must still exceed every finite budget, as it does from as_dict()."""
+        registry = CounterRegistry()
+        slo = SloTracker(registry)
+        for _ in range(100):
+            slo.observe("acme", "learn", 9000.0)  # past the 5000ms top bound
+        budget = {"default": {"p99_ms": 100}}
+        direct = check_slo(slo_report(registry.as_dict()), budget)
+        scraped = slo_report(counters_from_openmetrics(render_openmetrics(registry)))
+        assert scraped["tenants"]["acme"]["ops"]["learn"]["p99_ms"] == float("inf")
+        from_scrape = check_slo(scraped, budget)
+        assert len(direct) == len(from_scrape) == 1
+        assert "acme/learn: p99" in from_scrape[0]
+        assert check_slo(scraped, {"default": {"p99_ms": 1e12}}) != []
 
     def test_sanitize_tenant(self):
         assert sanitize_tenant(None) == "anon"

@@ -38,6 +38,7 @@ from repro.perf import (
     write_snapshot,
 )
 from repro.perf.__main__ import main as perf_main
+from repro.perf.fleet import SWEEPS, check_sweep, gate_points, render_sweep, run_sweep
 from repro.perf.bench import overhead_ratios
 from repro.perf.metrics_export import JsonlEmitter, OpenMetricsTextfileEmitter
 from repro.perf.snapshot import SCHEMA, fingerprints_match
@@ -612,42 +613,10 @@ class TestCli:
 
 
 class TestShardedSweep:
-    def test_quick_sweep_records_both_speedups(self):
-        from repro.perf.fleet import (
-            check_sharded_speedup,
-            render_sharded_throughput,
-            run_sharded_throughput,
-        )
-
-        record = run_sharded_throughput(
-            worker_counts=(1, 2),
-            n_lanes=16,
-            repeats=2,
-            warmup=0,
-            quick=True,
-            mp_context="fork",
-        )
-        assert set(record["points"]) == {"1", "2"}
-        for point in record["points"].values():
-            assert point["sharded"]["updates_per_sec"] > 0
-            assert point["speedup_vs_vectorized"] is not None
-            assert point["speedup_vs_scalar"] is not None
-        # The gate reads the largest worker count by default.
-        ok, message = check_sharded_speedup(record, 1e9, vs="scalar")
-        assert not ok and "workers=2" in message
-        ok, _ = check_sharded_speedup(record, 0.0, vs="vectorized", at_workers=1)
-        assert ok
-        with pytest.raises(ValueError, match="vs must be"):
-            check_sharded_speedup(record, 1.0, vs="gpu")
-        text = render_sharded_throughput(record)
-        assert "workers" in text and "n_lanes=16" in text
-
     def test_snapshot_embeds_sharded_record(self, tmp_path):
-        from repro.perf.fleet import run_sharded_throughput
-
         results = run_bench(cases=["functional"], repeats=1, warmup=0, quick=True)
-        record = run_sharded_throughput(
-            worker_counts=(2,), n_lanes=8, repeats=1, warmup=0, quick=True,
+        record = run_sweep(
+            "sharded", (2,), n_lanes=8, repeats=1, warmup=0, quick=True,
             mp_context="fork",
         )
         snap = build_snapshot(results, sharded_throughput=record)
@@ -670,6 +639,167 @@ class TestShardedSweep:
         out = capsys.readouterr().out
         assert "sharded fleet throughput" in out
         assert "speedup vs scalar" in out
+
+
+# ---------------------------------------------------------------------- #
+# Fleet sweeps: one record/gate/render contract and one sentinel rule
+# ---------------------------------------------------------------------- #
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+#: A small ladder per variant (the sharded one forks two tiny workers).
+SWEEP_ARGS = {
+    "fleet": dict(ladder=(1, 4)),
+    "rule": dict(ladder=("qlearning", "momentum_qlearning"), n_lanes=4),
+    "sharded": dict(ladder=(1, 2), n_lanes=4, mp_context="fork"),
+    "native": dict(ladder=(1, 4)),
+}
+
+
+def _needs_native(name):
+    from repro.backends import native
+
+    if name == "native" and native._find_compiler() is None:
+        pytest.skip("no C compiler for the fused kernel")
+
+
+def _sweep_record(spec, ratio, ups=1.0e6, **shape):
+    """A one-point record of ``spec``'s shape with every ratio = ``ratio``."""
+    side = {"updates_per_sec": ups}
+    point = dict(side) if spec.flat else {spec.candidate.engine: side}
+    point.update({field: ratio for field in spec.ratios})
+    return {"quick": False, **shape, "points": {str(spec.ladder[-1]): point}}
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("name", list(SWEEPS))
+    def test_record_gate_render(self, name):
+        _needs_native(name)
+        spec, args = SWEEPS[name], SWEEP_ARGS[name]
+        record = run_sweep(
+            name, repeats=2, warmup=0, quick=True, clock=_FakeClock(0.5), **args
+        )
+        ladder = list(args["ladder"])
+        assert record[spec.axis] == ladder
+        assert record["repeats"] == 2 and record["quick"] is True
+        assert list(record["points"]) == [str(x) for x in ladder]
+        for x in ladder:
+            point = record["points"][str(x)]
+            lanes = args.get("n_lanes", x)
+            if spec.flat:
+                sides = {"candidate": point}
+            else:
+                sides = {
+                    "candidate": point[spec.candidate.engine],
+                    "baseline": point[spec.baseline.engine],
+                }
+            for side in sides.values():
+                assert side["updates"] == lanes * side["steps"]
+                assert side["seconds_median"] == 0.5 and side["seconds_mad"] == 0.0
+                assert side["updates_per_sec"] == pytest.approx(side["updates"] / 0.5)
+            # Every timed region lasts 0.5s, so the paired ratio is the
+            # ratio of the two sides' per-update times, i.e. of steps.
+            c_steps = spec.candidate.steps(lanes, 10)
+            b_steps = spec.baseline.steps(lanes, 10)
+            want = b_steps / c_steps if spec.lower_is_better else c_steps / b_steps
+            assert point[spec.ratio] == pytest.approx(want)
+            assert point[f"{spec.ratio}_mad"] == pytest.approx(0.0)
+            if spec.reference is not None:
+                ref = record[spec.reference.engine]
+                assert point[spec.ratios[1]] == pytest.approx(c_steps / ref["steps"])
+
+        # The gate reads the worst gated point: at its value it passes,
+        # one notch past it fails and names the point.
+        for field in spec.ratios:
+            values = [record["points"][k][field] for k in gate_points(spec, record["points"])]
+            worst = max(values) if spec.lower_is_better else min(values)
+            assert check_sweep(name, record, worst, ratio=field)[0]
+            notch = worst / 2 if spec.lower_is_better else worst * 2
+            ok, message = check_sweep(name, record, notch, ratio=field)
+            assert not ok and f"{spec.label}=" in message and "FAIL" in message
+        with pytest.raises(ValueError, match="not 'bogus'"):
+            check_sweep(name, record, 1.0, ratio="bogus")
+        assert check_sweep(name, {"points": {}}, 1.0) == (
+            False, f"{name} sweep has no measured points"
+        )
+
+        text = render_sweep(name, record)
+        assert text.startswith(spec.title)
+        for x in ladder:
+            assert str(x) in text
+
+    @pytest.mark.parametrize("name", list(SWEEPS))
+    def test_sentinel_rule(self, name):
+        spec = SWEEPS[name]
+        key = spec.ladder[-1]
+        good, bad = (0.5, 2.0) if spec.lower_is_better else (2.0, 0.5)
+
+        def snap(ratio=1.0, ups=1.0e6, **shape):
+            return build_snapshot({}, source=name, **{spec.key: _sweep_record(spec, ratio, ups, **shape)})
+
+        def verdicts(base, new):
+            result = compare_snapshots(base, new)
+            return result, {f.case: f.verdict for f in result.findings}
+
+        base = snap()
+        ratio_cases = {f"{name}.{field}@{key}" for field in spec.ratios}
+        ups_case = f"{name}.updates_per_sec@{key}"
+
+        result, seen = verdicts(base, snap())
+        assert result.ok and {seen[c] for c in ratio_cases | {ups_case}} == {"ok"}
+
+        result, seen = verdicts(base, snap(ratio=bad))
+        assert {f.case for f in result.regressions} == ratio_cases
+
+        result, seen = verdicts(base, snap(ratio=good))
+        assert result.ok and {seen[c] for c in ratio_cases} == {"improvement"}
+
+        result, seen = verdicts(base, snap(ups=0.5e6))
+        assert [f.case for f in result.regressions] == [ups_case]
+
+        # Ratios gate across machine fingerprints; updates/sec does not.
+        other = snap(ratio=bad, ups=0.5e6)
+        other["machine"]["python"] = "3.99.0"
+        result, seen = verdicts(base, other)
+        assert {f.case for f in result.regressions} == ratio_cases
+        assert seen[ups_case] == "skipped"
+
+        for shape in ({"quick": True}, {"n_lanes": 7}, {"kernel": "x"}, {"cpu_count": 64}):
+            result, seen = verdicts(base, snap(ratio=bad, **shape))
+            assert result.ok and seen == {name: "skipped"}
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--max-rule-overhead", "0.0001"], "--max-rule-overhead"),
+            (["--rules", "all", "--min-speedup", "1e9"], "--min-speedup"),
+            (["--vs", "vectorized"], "--vs"),
+            (["--rules", "all", "--workers", "2"], "--workers"),
+        ],
+    )
+    def test_cli_rejects_flags_the_sweep_ignores(self, args, flag, capsys):
+        assert perf_main(["fleet", "--smoke", "--repeats", "1", *args]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_cli_rule_gate(self, capsys):
+        argv = ["fleet", "--smoke", "--repeats", "1", "--lanes", "4", "--rules", "qlearning,sarsa"]
+        assert perf_main([*argv, "--max-rule-overhead", "1e9"]) == 0
+        assert perf_main([*argv, "--max-rule-overhead", "1e-9"]) == 1
+        out = capsys.readouterr().out
+        assert "rule overhead at rule=" in out and "FAIL" in out
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_committed_bench_renders_and_self_compares(self, n, capsys):
+        path = str(REPO / f"BENCH_{n}.json")
+        snapshot = load_snapshot(path)
+        assert perf_main(["report", path]) == 0
+        out = capsys.readouterr().out
+        assert perf_main(["compare", path, path]) == 0
+        findings = capsys.readouterr().out
+        for name, spec in SWEEPS.items():
+            if spec.key in snapshot:
+                assert spec.title in out
+                assert f" {name}.{spec.ratio}@" in findings
 
 
 # ---------------------------------------------------------------------- #
