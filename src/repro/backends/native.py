@@ -105,6 +105,14 @@ def native_available() -> tuple[bool, str]:
     return True, f"C compiler {compiler}"
 
 
+def lowers_rule(rule) -> bool:
+    """Whether the fused kernel has a lowering for update ``rule``: its
+    :class:`~repro.algorithms.RuleKernel` id, on the rule kind whose extra
+    tables that id assumes."""
+    kinds = _KERNEL_ID_KINDS.get(rule.kernel.kernel_id)
+    return kinds is not None and rule.kind in kinds
+
+
 # ---------------------------------------------------------------------- #
 # The fused kernel, compiled once per source hash
 # ---------------------------------------------------------------------- #
@@ -488,8 +496,7 @@ class NativeFleetBackend(VectorizedFleetBackend):
             mdps, config, num_agents=num_agents, salts=salts, telemetry=telemetry
         )
         rk = self.rule.kernel
-        kinds = _KERNEL_ID_KINDS.get(rk.kernel_id)
-        if kinds is None or self._rule_kind not in kinds:
+        if not lowers_rule(self.rule):
             from ..algorithms import UnsupportedRuleError
 
             raise UnsupportedRuleError(

@@ -2,25 +2,36 @@
 
 The Fig. 9 deployment scales QTAccel by *replicating* independent
 pipelines; one Python process caps the software analogue at a single
-core no matter how wide the numpy array program gets.  This backend
-breaks that ceiling: ``n_lanes`` is partitioned into ``num_workers``
-contiguous shards, each shard is a full
-:class:`~repro.backends.vectorized.VectorizedFleetBackend` running in
-its own ``multiprocessing`` worker, and every per-lane state array —
-Q/Qmax tables, the architectural latches, the three LFSR banks — lives
-in one ``multiprocessing.shared_memory`` block that both sides map as
-numpy views.  Checkpoints, telemetry reads and result gathers on the
-parent are therefore zero-copy: the parent *is* looking at the
-workers' live state (only ever read between epochs, when workers are
-idle).
+core however fast its kernel is.  This backend breaks that ceiling:
+``n_lanes`` is partitioned into ``num_workers`` contiguous shards, each
+shard is a full fleet backend running in its own ``multiprocessing``
+worker, and every per-lane state array — Q/Qmax tables, the
+architectural latches, the three LFSR banks — lives in one
+``multiprocessing.shared_memory`` block that both sides map as numpy
+views.  Checkpoints, telemetry reads and result gathers on the parent
+are therefore zero-copy: the parent *is* looking at the workers' live
+state (only ever read between epochs, when workers are idle).
+
+Each shard runs the fused C kernel
+(:class:`~repro.backends.native.NativeFleetBackend`) whenever a C
+compiler can build it and the update rule has a compiled lowering —
+the rule that picks the gateway's default engine.  The parent decides
+once, at construction (:func:`shard_kernel`), and loads the kernel
+before spawning, so workers never compile it concurrently.  Without a
+compiler the shards run the same program in numpy
+(:class:`~repro.backends.vectorized.VectorizedFleetBackend`), the
+fallback.  ``telemetry_snapshot()["kernel"]`` reports which one ran
+(``"cc"`` or ``"numpy"``).  Both programs keep their state in the same
+attribute vocabulary, so one rebind loop maps either onto the shared
+rows.
 
 Bit-identity is preserved by construction: per-lane salts are a pure
 function of the lane index (``normalize_fleet`` defaults them to
 ``range(n_lanes)``), and a shard's worker builds its backend with
 exactly the salt slice its lanes would have had in a single-process
-fleet — so any worker count and any shard split produces the same
-per-lane trajectories as ``VectorizedFleetBackend`` (asserted by the
-test suite across 1/2/odd splits and workers > lanes).
+fleet — so any worker count, any shard split and either shard program
+produces the same per-lane trajectories as ``VectorizedFleetBackend``
+(asserted by the test suite across 1/2/odd splits and workers > lanes).
 
 Execution proceeds in *sync epochs* of ``epoch`` lock-step samples:
 the parent broadcasts one ``run`` command per worker, collects per-
@@ -34,7 +45,9 @@ by the rollback-retry-quarantine discipline of
 restored from the last checkpoint, a fresh worker adopts the restored
 state and replays forward to the fleet's current epoch — bit-identical
 thanks to determinism — and a shard that keeps dying is quarantined so
-the rest of the fleet continues.  The existing
+the rest of the fleet continues.  A worker that stops making progress
+(SIGSTOP, livelock), mid-epoch or during startup, is killed after
+``hang_timeout_s``.  The existing
 :class:`~repro.robustness.checkpoint.FleetSupervisor` composes on top
 unchanged (via :class:`~repro.robustness.checkpoint.BatchLanes`),
 because the parent exposes the same lane-oriented surface as the
@@ -77,9 +90,16 @@ _I64 = np.int64
 #: Reusable no-op context for the untraced path.
 _NOSPAN = nullcontext()
 
-#: Samples a worker runs between heartbeat bumps — the hang watchdog's
-#: progress resolution (an epoch of 256 gets 4 bumps).
-_HEARTBEAT_CHUNK = 64
+#: Lane-updates (lanes x steps) a worker retires between heartbeat bumps
+#: — the hang watchdog's progress resolution.  On the C kernel a bump is
+#: one kernel call, and the lane-outer loop re-streams every lane's
+#: tables per call, so the budget is large: a 256-step epoch of a
+#: 2048-lane shard is one call (about 20 ms on an x86-64 core).
+_HEARTBEAT_UPDATES = 1 << 20
+
+#: Step cap per bump on the numpy fallback, whose fixed per-step
+#: dispatch cost dominates small shards.
+_HEARTBEAT_NUMPY_STEPS = 64
 
 #: Every live (not yet closed) backend, for the atexit/signal sweeps.
 _LIVE_BACKENDS: "weakref.WeakSet" = weakref.WeakSet()
@@ -222,15 +242,55 @@ def _attach_shm(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
+def shard_kernel(config: QTAccelConfig) -> str:
+    """The program shard workers run for ``config``: ``"cc"`` (the fused
+    C kernel) when a C compiler can build it and it lowers the update
+    rule, else ``"numpy"`` (the vectorized program).
+
+    Choosing ``"cc"`` builds and loads the kernel in this process, so
+    the workers spawned afterwards find it compiled.
+    """
+    from .native import NativeBackendUnavailableError, _get_kernel, lowers_rule, native_available
+
+    if not (native_available()[0] and lowers_rule(config.rule)):
+        return "numpy"
+    try:
+        _get_kernel()
+    except NativeBackendUnavailableError:  # the compiler failed to build it
+        return "numpy"
+    return "cc"
+
+
+def _beat_steps(kernel: str, lanes: int) -> int:
+    """Steps a worker of ``lanes`` lanes runs between heartbeat bumps."""
+    steps = max(1, _HEARTBEAT_UPDATES // lanes)
+    return steps if kernel == "cc" else min(steps, _HEARTBEAT_NUMPY_STEPS)
+
+
+def _cpu_ticks(pid: int) -> int:
+    """CPU time a process has used, in clock ticks (0 where ``/proc`` is
+    absent): a starting worker's progress before it can beat."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        return int(fields[11]) + int(fields[12])  # utime + stime
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
 def _shard_worker_main(conn, shm_name: str, dims: tuple, spec: dict) -> None:
     """Entry point of one shard worker process.
 
-    Builds the shard's :class:`VectorizedFleetBackend`, rebinds every
-    state array (and the LFSR bank registers) onto the shared-memory
-    rows ``[lo, hi)`` — copying its freshly seeded state in unless
-    ``spec["adopt"]`` says the block already holds restored state —
-    then serves ``("run", n)`` / ``("ping",)`` / ``("stop",)`` commands
-    over the pipe, answering each run with the stat deltas it retired.
+    Builds the shard's backend — :class:`~repro.backends.native.NativeFleetBackend`
+    when ``spec["kernel"]`` is ``"cc"``, else :class:`VectorizedFleetBackend`
+    — rebinds every state array (and the LFSR bank registers) onto the
+    shared-memory rows ``[lo, hi)`` — copying its freshly seeded state in
+    unless ``spec["adopt"]`` says the block already holds restored state
+    — and answers ``("ready", kernel)``.  It then serves ``("run", n)`` /
+    ``("ping",)`` / ``("stop",)`` commands over the pipe, answering each
+    run with the stat deltas it retired.  A run bumps the heartbeat every
+    :func:`_beat_steps` steps, so on the kernel a 256-step epoch of a
+    2048-lane shard is one kernel call.
 
     A ``run`` command may carry an optional trailing trace context
     (the wire ``{"trace_id", "span_id"}`` dict); the worker then times
@@ -248,7 +308,12 @@ def _shard_worker_main(conn, shm_name: str, dims: tuple, spec: dict) -> None:
         try:
             k, s, a = dims
             views = _ShmLayout(k, s, a, spec["config"]).views(shm.buf)
-            backend = VectorizedFleetBackend(
+            kernel = spec["kernel"]
+            if kernel == "cc":
+                from .native import NativeFleetBackend as program
+            else:
+                program = VectorizedFleetBackend
+            backend = program(
                 spec["mdps"],
                 spec["config"],
                 num_agents=spec["num_agents"],
@@ -258,7 +323,8 @@ def _shard_worker_main(conn, shm_name: str, dims: tuple, spec: dict) -> None:
             adopt = spec["adopt"]
             # The *instance* tuple: includes the update rule's extra
             # tables (momentum/target), which must ride in shared memory
-            # like every other lane-state array.
+            # like every other lane-state array.  The native backend's
+            # _rebind_flat_views also re-packs the kernel's table addresses.
             for attr, key in backend._STATE_ARRAYS:
                 view = views[key][lo:hi]
                 if not adopt:
@@ -281,7 +347,8 @@ def _shard_worker_main(conn, shm_name: str, dims: tuple, spec: dict) -> None:
         # parent can distinguish slow from stuck (see _ShmLayout).
         hb = views["heartbeat"]
         hb[lo] += 1
-        conn.send(("ready", None))
+        beat = _beat_steps(kernel, hi - lo)
+        conn.send(("ready", kernel))
         while True:
             msg = conn.recv()
             cmd = msg[0]
@@ -298,7 +365,7 @@ def _shard_worker_main(conn, shm_name: str, dims: tuple, spec: dict) -> None:
                 # only the watchdog's resolution, never the trajectories.
                 n, done = msg[1], 0
                 while done < n:
-                    chunk = min(_HEARTBEAT_CHUNK, n - done)
+                    chunk = min(beat, n - done)
                     backend.run(chunk)
                     done += chunk
                     hb[lo] += 1
@@ -487,6 +554,10 @@ class ShardedFleetBackend:
         self.obs_tracer = None
         self.obs_recorder = None
 
+        #: The program every shard runs: ``"cc"`` (the fused C kernel) or
+        #: ``"numpy"`` (the vectorized fallback), decided here once and
+        #: confirmed by each worker's ``ready`` reply.
+        self.shard_kernel = shard_kernel(config)
         self._procs: list = [None] * self.num_workers
         self._conns: list = [None] * self.num_workers
         try:
@@ -538,6 +609,7 @@ class ShardedFleetBackend:
             "salts": self._salts[lo:hi],
             "adopt": adopt,
             "debug_fail": w in self._debug_fail,
+            "kernel": self.shard_kernel,
         }
 
     def _spawn_worker(self, w: int, *, adopt: bool) -> None:
@@ -558,12 +630,26 @@ class ShardedFleetBackend:
         self._conns[w] = parent_conn
 
     def _await_ready(self, w: int) -> None:
+        """Wait for worker ``w``'s ``ready`` reply and record its kernel.
+
+        Raises :class:`RuntimeError` naming the worker if it dies or
+        fails during startup, or — after SIGKILLing it — if it makes no
+        progress for ``hang_timeout_s``.  A starting worker's CPU time
+        counts as progress, so a slow start is waited on and a stopped
+        one is not.
+        """
+        if not self._await_result(w, starting=True):
+            raise RuntimeError(
+                f"shard worker {w} made no startup progress for "
+                f"{self.hang_timeout_s:g} s; killed"
+            )
         try:
             msg = self._conns[w].recv()
         except (EOFError, OSError) as exc:
             raise RuntimeError(f"shard worker {w} died during startup") from exc
         if msg[0] != "ready":
             raise RuntimeError(f"shard worker {w} failed to start: {msg[1]}")
+        self.shard_kernel = msg[1]
 
     # -- observability plumbing (no-ops until obs_tracer/obs_recorder
     #    are assigned by the serving layer) ---------------------------- #
@@ -714,7 +800,9 @@ class ShardedFleetBackend:
                 session.pulse()
         return self.stats
 
-    def _await_result(self, w: int, timeout: float | None = None) -> bool:
+    def _await_result(
+        self, w: int, timeout: float | None = None, *, starting: bool = False
+    ) -> bool:
         """Wait for worker ``w``'s next message, watching its heartbeat.
 
         Returns True once a message is ready to ``recv``.  Returns
@@ -723,14 +811,21 @@ class ShardedFleetBackend:
         makes no progress for ``timeout`` (default ``hang_timeout_s``)
         seconds: a *slow* worker keeps bumping its heartbeat between
         sub-chunks and is waited on indefinitely; a *stuck* one
-        (SIGSTOP, livelock) cannot.
+        (SIGSTOP, livelock) cannot.  While ``starting``, the CPU time
+        the worker uses counts as progress too: it cannot beat until it
+        has imported its modules and attached the shared block.
         """
         if timeout is None:
             timeout = self.hang_timeout_s
         conn = self._conns[w]
         hb = self._views["heartbeat"]
         lo = self._bounds[w]
-        last_hb = int(hb[lo])
+        pid = self._procs[w].pid if starting else None
+
+        def progress() -> tuple[int, int]:
+            return int(hb[lo]), _cpu_ticks(pid) if starting else 0
+
+        last = progress()
         stalled_since = time.monotonic()
         while True:
             try:
@@ -739,9 +834,9 @@ class ShardedFleetBackend:
             except (BrokenPipeError, OSError):
                 return True  # dead pipe: let the recv raise and recover
             now = time.monotonic()
-            beat = int(hb[lo])
-            if beat != last_hb:
-                last_hb = beat
+            beat = progress()
+            if beat != last:
+                last = beat
                 stalled_since = now
             elif now - stalled_since >= timeout:
                 self.hangs += 1
@@ -937,6 +1032,7 @@ class ShardedFleetBackend:
             "exploits": self.stats.exploits,
             "explores": self.stats.explores,
             "workers": self.num_workers,
+            "kernel": self.shard_kernel,
             "epoch": self.epoch,
             "restarts": self.restarts,
             "hangs": self.hangs,

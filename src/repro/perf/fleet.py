@@ -14,7 +14,7 @@ variant     candidate        baseline     ladder         ratio
 =========== ================ ============ ============== =========================
 ``fleet``   vectorized       scalar loop  lane counts    ``speedup``
 ``rule``    vectorized+rule  qlearning    update rules   ``overhead``
-``sharded`` sharded workers  vectorized   worker counts  ``speedup_vs_vectorized``
+``sharded`` C-kernel shards  vectorized   worker counts  ``speedup_vs_vectorized``
 ``native``  fused C kernel   vectorized   lane counts    ``speedup_vs_vectorized``
 =========== ================ ============ ============== =========================
 
@@ -127,6 +127,12 @@ def _kernel_tier() -> dict:
     return {"kernel": resolve_fleet_backend("native").kernel_tier}
 
 
+def _sharded_extra() -> dict:
+    from ..backends.sharded import shard_kernel
+
+    return {"cpu_count": os.cpu_count(), "kernel": shard_kernel(_rule_config("qlearning"))}
+
+
 #: The four variants, in snapshot-rendering order.
 SWEEPS = {
     s.name: s
@@ -170,7 +176,7 @@ SWEEPS = {
             knob="num_workers",
             n_lanes=4096,
             reference=_SCALAR,
-            extra=lambda: {"cpu_count": os.cpu_count()},
+            extra=_sharded_extra,
         ),
         Sweep(
             name="native",
@@ -261,8 +267,9 @@ def run_sweep(
 
         {
           "<axis>": [...], "repeats": 3, "quick": false,
-          # rule/sharded: "n_lanes", "steps"; sharded: "cpu_count" and
-          # the "scalar" reference side; native: "kernel"
+          # rule/sharded: "n_lanes", "steps"; sharded: "cpu_count",
+          # the shard program's "kernel" and the "scalar" reference
+          # side; native: "kernel"
           "points": {
             "4096": {
               "<candidate>": {"steps", "updates", "seconds_median",

@@ -9,9 +9,11 @@ and wide "float-like" formats alike.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +502,58 @@ class TestShardedDispatchAndLifecycle:
         with _sharded(GRID, cfg, num_agents=2, num_workers=2) as fleet:
             fleet.run(32)
         fleet.close()  # second close is a no-op
+
+    def test_startup_stall_raises_within_hang_timeout(self, monkeypatch):
+        """A worker stopped during startup is killed after hang_timeout_s
+        and construction fails naming it, leaving no process or shm."""
+        from multiprocessing import shared_memory
+
+        spawned = []
+        real_spawn = ShardedFleetBackend._spawn_worker
+
+        def spawn_then_stop_worker_1(self, w, *, adopt):
+            real_spawn(self, w, adopt=adopt)
+            spawned.append((self._procs[w], self._shm.name))
+            if w == 1:
+                os.kill(self._procs[w].pid, signal.SIGSTOP)
+
+        monkeypatch.setattr(ShardedFleetBackend, "_spawn_worker", spawn_then_stop_worker_1)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="shard worker 1 made no startup progress"):
+            ShardedFleetBackend(
+                GRID, QTAccelConfig.qlearning(seed=2), num_agents=4, num_workers=2,
+                hang_timeout_s=1.0,
+            )
+        assert time.monotonic() - t0 < 1.0 + 4.0
+        assert [proc.is_alive() for proc, _ in spawned] == [False, False]
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=spawned[0][1])
+
+    def test_heartbeat_budget(self):
+        """A 256-step epoch of a 2048-lane shard (the benchmark shape) is
+        one kernel call; the numpy fallback keeps short bumps."""
+        from repro.backends.sharded import _beat_steps
+
+        assert _beat_steps("cc", 2048) >= 256
+        assert _beat_steps("cc", 1 << 30) == 1
+        assert _beat_steps("numpy", 1) == 64
+
+    def test_no_compiler_shards_run_numpy(self, monkeypatch):
+        """Without a C compiler (an environment the spawned workers
+        inherit) shards run the vectorized program, bit-identically."""
+        from tests.test_native_backend import _assert_same_state
+
+        monkeypatch.delenv("CC", raising=False)
+        monkeypatch.setenv("PATH", "")
+        cfg = QTAccelConfig.target_q(seed=21, qmax_mode="exact")
+        vec = VectorizedFleetBackend(LOOPY, cfg, num_agents=5)
+        vec.run(100)
+        with ShardedFleetBackend(
+            LOOPY, cfg, num_agents=5, num_workers=2, epoch=45
+        ) as fleet:
+            assert fleet.telemetry_snapshot()["kernel"] == "numpy"
+            fleet.run(100)
+            _assert_same_state(fleet, vec)  # every lane array, LFSR and stat
 
     def test_telemetry_snapshot_reports_topology(self):
         cfg = QTAccelConfig.qlearning(seed=2)

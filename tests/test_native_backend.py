@@ -289,6 +289,93 @@ class TestCheckpoint:
 
 
 # ---------------------------------------------------------------------- #
+# Sharded workers run the kernel
+# ---------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def fine_heartbeat(monkeypatch):
+    """Forked shard workers that bump their heartbeat every few steps, so
+    an epoch spans several kernel calls with a partial last one."""
+    from repro.backends import sharded
+
+    monkeypatch.setattr(sharded, "_HEARTBEAT_UPDATES", 7)
+
+
+def _shards(mdps, cfg, **kw):
+    from repro.backends import ShardedFleetBackend
+
+    kw.setdefault("num_workers", 2)
+    kw.setdefault("mp_context", "fork")
+    kw.setdefault("epoch", 37)
+    return ShardedFleetBackend(mdps, cfg, **kw)
+
+
+def _assert_lanes_match_functional(fleet, mdps, cfg, salts, steps) -> None:
+    for k, salt in enumerate(salts):
+        world = mdps[k] if isinstance(mdps, list) else mdps
+        ref = FunctionalSimulator(world, cfg, draws=PolicyDraws.from_config(cfg, salt=salt))
+        ref.run(steps)
+        assert np.array_equal(fleet.q[k], ref.tables.q.data), f"lane {k} Q"
+        assert np.array_equal(fleet.qmax[k], ref.tables.qmax.data), f"lane {k} Qmax"
+        assert np.array_equal(fleet.qmax_action[k], ref.tables.qmax_action.data)
+
+
+@pytest.mark.usefixtures("fine_heartbeat")
+class TestShardedKernel:
+    """Shard workers run the fused kernel and stay on the trajectory of
+    the vectorized program and the scalar simulator, lane by lane."""
+
+    @pytest.mark.parametrize("qmax_mode", ["exact", "monotonic", "follow"])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_matches_vectorized_and_functional(self, rule, qmax_mode):
+        cfg = _cfg(rule, seed=19, qmax_mode=qmax_mode)
+        vec = VectorizedFleetBackend(LOOPY, cfg, num_agents=5)
+        vec.run(150)
+        with _shards(LOOPY, cfg, num_agents=5) as fleet:
+            assert fleet.shard_kernel == "cc"
+            assert fleet.telemetry_snapshot()["kernel"] == "cc"
+            fleet.run(150)  # epochs of 37: 4 full and a 2-step tail
+            _assert_same_state(fleet, vec)
+            _assert_lanes_match_functional(fleet, LOOPY, cfg, range(5), 150)
+
+    def test_heterogeneous_fleet(self):
+        worlds = [random_dense_mdp(16, 4, seed=s, self_loop_bias=0.5) for s in range(30, 35)]
+        cfg = QTAccelConfig.sarsa(seed=43, qmax_mode="follow")
+        salts = [8, 3, 12, 0, 5]
+        vec = VectorizedFleetBackend(worlds, cfg, salts=salts)
+        vec.run(130)
+        with _shards(worlds, cfg, salts=salts, epoch=50) as fleet:
+            fleet.run(130)
+            _assert_same_state(fleet, vec)
+            _assert_lanes_match_functional(fleet, worlds, cfg, salts, 130)
+
+    def test_killed_worker_replays_bit_exact(self):
+        cfg = QTAccelConfig.momentum(seed=29, qmax_mode="follow")
+        vec = VectorizedFleetBackend(GRID, cfg, num_agents=6)
+        vec.run(185)
+        with _shards(GRID, cfg, num_agents=6) as fleet:
+            fleet.run(74)
+            fleet.kill_worker(1)
+            fleet.run(111)
+            assert fleet.restarts >= 1 and not fleet.quarantined_workers
+            assert fleet.shard_kernel == "cc"
+            _assert_same_state(fleet, vec)
+
+    def test_hung_worker_replays_bit_exact(self):
+        cfg = QTAccelConfig.target_q(seed=37, target_sync_period=23)
+        vec = VectorizedFleetBackend(GRID, cfg, num_agents=4)
+        vec.run(120)
+        with _shards(GRID, cfg, num_agents=4, hang_timeout_s=0.5) as fleet:
+            fleet.run(40)
+            fleet.hang_worker(0)  # SIGSTOP: alive, no heartbeat
+            fleet.run(80)
+            assert fleet.hangs == 1 and fleet.restarts >= 1
+            assert not fleet.quarantined_workers
+            _assert_same_state(fleet, vec)
+
+
+# ---------------------------------------------------------------------- #
 # Perf plumbing: the sentinel over the native sweep key
 # ---------------------------------------------------------------------- #
 
