@@ -16,8 +16,13 @@ multipliers.  This package rebuilds the full system in Python:
 * :mod:`repro.reference` — the paper's CPU baselines;
 * :mod:`repro.baseline` — the prior state-of-the-art design [11];
 * :mod:`repro.experiments` — one harness per paper table/figure;
-* :mod:`repro.telemetry` — cycle-level tracing, counter registry and
-  exportable profiles (see ``docs/observability.md``);
+* :mod:`repro.telemetry` — the one observability package: counters
+  with an OpenMetrics codec, one trace ring and Chrome writer for cycle
+  events and serve spans, profiles, SLO budgets, the flight recorder
+  and the ``python -m repro.telemetry`` CLI (see
+  ``docs/observability.md``);
+* :mod:`repro.perf` — bench harness, ``BENCH_<n>.json`` snapshots and
+  the regression sentinel;
 * :mod:`repro.serve` — the multi-tenant session gateway leasing fleet
   lanes to external clients over NDJSON/TCP (see ``docs/serving.md``).
 
@@ -57,4 +62,6 @@ __all__ = [
     "reference",
     "baseline",
     "experiments",
+    "telemetry",
+    "perf",
 ]

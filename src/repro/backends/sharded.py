@@ -54,7 +54,7 @@ because the parent exposes the same lane-oriented surface as the
 single-process backends.
 
 Observability: the serving layer may assign ``obs_tracer`` /
-``obs_recorder`` (:mod:`repro.obs`) after construction.  With a tracer
+``obs_recorder`` (:mod:`repro.telemetry`) after construction.  With a tracer
 set, pipe commands grow an optional trailing trace-context element
 (``("run", n, ctx)``) that the worker uses to parent a ``shard.run``
 span built in *its* process, shipped back in the reply and adopted
@@ -297,7 +297,7 @@ def _shard_worker_main(conn, shm_name: str, dims: tuple, spec: dict) -> None:
     the run as a ``shard.run`` span dict in *this* process and ships it
     back as an optional trailing reply element for the parent to adopt.
     """
-    from ..obs.tracing import _reseed_ids, ctx_from_wire, new_id
+    from ..telemetry.tracing import _reseed_ids, ctx_from_wire, new_id
 
     _reseed_ids()  # fresh span-id prefix for this process
     proc_label = f"shard{spec.get('worker', '?')}"
@@ -546,10 +546,10 @@ class ShardedFleetBackend:
         self.hangs = 0
         self.quarantined_workers: set[int] = set()
         #: Optional observability wiring, assigned by the serving layer
-        #: after construction: a :class:`repro.obs.tracing.Tracer` for
+        #: after construction: a :class:`repro.telemetry.tracing.Tracer` for
         #: ``shard.recover`` spans (plus worker-side ``shard.run`` spans
         #: adopted from replies) and a
-        #: :class:`repro.obs.recorder.FlightRecorder` for structured
+        #: :class:`repro.telemetry.recorder.FlightRecorder` for structured
         #: worker lifecycle events (hang/dead/restart/quarantine).
         self.obs_tracer = None
         self.obs_recorder = None
@@ -658,7 +658,7 @@ class ShardedFleetBackend:
         """The ambient trace context as a pipe-command trailing element."""
         if self.obs_tracer is None:
             return None
-        from ..obs.tracing import Tracer, ctx_to_wire
+        from ..telemetry.tracing import Tracer, ctx_to_wire
 
         return ctx_to_wire(Tracer.current_context())
 

@@ -23,7 +23,7 @@ op carries a ``seq``, so the reference journal is exact even across
 reconnects: an op is in the journal iff the gateway applied it exactly
 once.
 
-With ``recorder_dir`` set, a :class:`~repro.obs.recorder.FlightRecorder`
+With ``recorder_dir`` set, a :class:`~repro.telemetry.recorder.FlightRecorder`
 rides along: every fired fault and every worker/session lifecycle event
 lands in the on-disk ring as it happens, and when the campaign *fails*
 the surviving ring is merged into ``flight_dump.jsonl`` — the crashed
@@ -221,13 +221,13 @@ def run_chaos_campaign(
     recorder = None
     tracer = None
     if recorder_dir:
-        from ..obs.recorder import open_recorder
+        from ..telemetry.recorder import open_recorder
 
         recorder = open_recorder(recorder_dir)
     if tracing:
-        from ..obs.tracing import SpanRing, Tracer
+        from ..telemetry.tracing import TraceRing, Tracer
 
-        tracer = Tracer("client", ring=SpanRing(1 << 17))
+        tracer = Tracer("client", ring=TraceRing(1 << 17))
     config = QTAccelConfig.qlearning(seed=11)
     backend = build_serve_backend(
         config,
@@ -385,12 +385,12 @@ def run_chaos_campaign(
         if problems or dump_always:
             # The post-mortem: surviving events (+ spans when traced)
             # merged into one artifact for CI to upload.
-            spans = tracer.ring.spans() if tracer is not None else None
+            spans = tracer.ring.items() if tracer is not None else None
             recorder_info["dump"] = recorder.dump(spans=spans)
         recorder.close()
     trace_info = None
     if tracer is not None:
-        spans = tracer.ring.spans()
+        spans = tracer.ring.items()
         trace_info = {
             "spans": len(spans),
             "dropped": tracer.ring.dropped,

@@ -41,6 +41,7 @@ from ..fixedpoint import ops
 from ..rtl.register import PipelineRegister
 from ..telemetry.counters import CounterRegistry
 from ..telemetry.session import current_session
+from ..telemetry.tracing import TraceEvent
 from .config import QTAccelConfig
 from .hazards import (
     ForwardingView,
@@ -290,10 +291,12 @@ class QTAccelPipeline:
         forward = mode == "forward"
         st = self.stats
         tel = self._tel
-        # Pure-trace probe events (issue/select/retire/hold/stall) are
-        # no-ops without a recorder; skipping the calls entirely keeps
-        # the counters-only attached tax inside its bench budget.
-        trc = tel if tel is not None and tel.recorder is not None else None
+        # Pure-trace stage events (issue/select/retire/hold/stall) go
+        # straight into the session's ring; without one they cost a
+        # pointer test, which keeps the counters-only attached tax inside
+        # its bench budget.
+        ring = tel.ring if tel is not None else None
+        pname = tel.name if tel is not None else None
         cyc = st.c_cycles.value
         timer = self._stage_timer
         stamps = None
@@ -334,8 +337,8 @@ class QTAccelPipeline:
             st.c_retired.value += 1
             if self.trace is not None:
                 self.trace.append((wb.index, wb.s, wb.a, wb.q_new))
-            if trc is not None:
-                trc.retire(cyc, wb.index)
+            if ring is not None:
+                ring.append(TraceEvent(cyc, pname, "S4", "retire", wb.index))
             if tel is not None and qmax_written:
                 tel.qmax_raise(cyc, wb.index)
             if self.on_retire is not None:
@@ -427,14 +430,14 @@ class QTAccelPipeline:
                 self.reg12.hold()
                 st.c_stall_cycles.value += 1
                 st.c_s2_hold_cycles.value += 1
-                if trc is not None:
-                    trc.hold(cyc, smp.index)
+                if ring is not None:
+                    ring.append(TraceEvent(cyc, pname, "S2", "hold", smp.index))
             elif mode == "stall" and conflict_stage2(smp.s_next, (in_s3, wb)):
                 self.reg12.hold()
                 st.c_stall_cycles.value += 1
                 st.c_hazard_stall_cycles.value += 1
-                if trc is not None:
-                    trc.stall(cyc, "S2", smp.index)
+                if ring is not None:
+                    ring.append(TraceEvent(cyc, pname, "S2", "stall", smp.index))
             else:
                 if forward:
                     hits_q = fix_operand_q(smp, (wb, s3_out))
@@ -484,8 +487,8 @@ class QTAccelPipeline:
                     self._pending_behavior = None if smp.terminal_next else sel.action
                 self.reg23.stage(smp)
                 s2_fired = True
-                if trc is not None:
-                    trc.select(cyc, smp.index)
+                if ring is not None:
+                    ring.append(TraceEvent(cyc, pname, "S2", "select", smp.index))
                 if tel is not None:
                     if view.hits_q:
                         tel.forward(cyc, "S2", "view_q", smp.index, view.hits_q)
@@ -512,8 +515,8 @@ class QTAccelPipeline:
             if mode == "stall" and conflict_stage1(state, (in_s2, in_s3, wb)):
                 st.c_stall_cycles.value += 1
                 st.c_hazard_stall_cycles.value += 1
-                if trc is not None:
-                    trc.stall(cyc, "S1", -1)
+                if ring is not None:
+                    ring.append(TraceEvent(cyc, pname, "S1", "stall", -1))
             else:
                 self._latched_issue = None
                 forwarded = None
@@ -548,8 +551,8 @@ class QTAccelPipeline:
                 smp.r = T.read_reward(state, action)
                 self.reg12.stage(smp)
                 st.c_issued.value += 1
-                if trc is not None:
-                    trc.issue(cyc, smp.index)
+                if ring is not None:
+                    ring.append(TraceEvent(cyc, pname, "S1", "issue", smp.index))
                 if tel is not None:
                     if view.hits_q:
                         tel.forward(cyc, "S1", "view_q", smp.index, view.hits_q)
@@ -565,8 +568,8 @@ class QTAccelPipeline:
             timer.commit(stamps)
 
         if tel is not None:
-            # Inlined tel.occupancy(...): one method call per cycle is
-            # measurable against the counters-only overhead budget.
+            # Stage occupancy as direct counter adds: one method call per
+            # cycle is measurable against the counters-only overhead budget.
             if s1_active:
                 tel.occ_s1.value += 1
             if in_s2 is not None:

@@ -97,7 +97,7 @@ def run_experiment(
     _, fn = _REGISTRY[exp_id]
     if telemetry is None:
         return fn(quick=quick)
-    with telemetry.activate():
+    with telemetry:
         return fn(quick=quick)
 
 

@@ -1,7 +1,8 @@
-"""Performance observatory: bench harness, snapshots, sentinel, export.
+"""Performance observatory: bench harness, snapshots, sentinel.
 
 The perf subsystem turns the repo's throughput story into defended,
-machine-readable artifacts, layered on :mod:`repro.telemetry`:
+machine-readable artifacts, layered on :mod:`repro.telemetry` (which
+owns every live export: the OpenMetrics codec, the emitters, traces):
 
 * :mod:`repro.perf.stats` — noise-aware summaries (median, MAD,
   bootstrap confidence intervals) for small wall-clock sample sets.
@@ -24,11 +25,6 @@ machine-readable artifacts, layered on :mod:`repro.telemetry`:
 * :mod:`repro.perf.compare` — the regression sentinel: diffs two
   snapshots with ``max(rel_tol, k*MAD)`` thresholds and exits non-zero
   for CI gating.
-* :mod:`repro.perf.metrics_export` — live export: an
-  OpenMetrics/Prometheus text renderer over a
-  :class:`~repro.telemetry.counters.CounterRegistry` and periodic
-  emitters (JSON-lines append, OpenMetrics textfile) that a
-  :class:`~repro.telemetry.session.TelemetrySession` pulses mid-run.
 * :mod:`repro.perf.stagetime` — sampled per-stage wall-time
   attribution for :class:`~repro.core.pipeline.QTAccelPipeline`
   (timestamp every Nth cycle; off by default, pointer-test cost only).
@@ -45,14 +41,6 @@ from .fleet import (
     check_sweep,
     render_sweep,
     run_sweep,
-)
-from .metrics_export import (
-    JsonlEmitter,
-    OpenMetricsTextfileEmitter,
-    escape_label_value,
-    render_openmetrics,
-    sanitize_metric_name,
-    validate_openmetrics,
 )
 from .serve import render_serve_throughput, run_serve_throughput
 from .snapshot import (
@@ -82,12 +70,6 @@ __all__ = [
     "run_sweep",
     "render_serve_throughput",
     "run_serve_throughput",
-    "JsonlEmitter",
-    "OpenMetricsTextfileEmitter",
-    "escape_label_value",
-    "render_openmetrics",
-    "sanitize_metric_name",
-    "validate_openmetrics",
     "SCHEMA",
     "build_snapshot",
     "load_snapshot",

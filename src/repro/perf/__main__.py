@@ -179,7 +179,7 @@ def _cmd_serve(args) -> int:
             return 1
     overheads = None
     if not args.no_overhead:
-        from ..obs.overhead import measure_serve_tracing_overhead
+        from ..telemetry.overhead import measure_serve_tracing_overhead
 
         entry = measure_serve_tracing_overhead(quick=args.quick)
         overheads = {"serve_tracing": entry}

@@ -45,7 +45,7 @@ on-disk flight recorder capturing structured chaos events (worker
 kills, restarts, replays) alongside the spans.  The *healthy* bench is
 left untraced so ``serve_throughput`` stays comparable across
 snapshots; tracing cost is pinned separately by
-:mod:`repro.obs.overhead`.
+:mod:`repro.telemetry.overhead`.
 """
 
 from __future__ import annotations
@@ -137,11 +137,11 @@ def run_serve_throughput(
     tracer = None
     recorder = None
     if tracing:
-        from ..obs.tracing import SpanRing, Tracer
+        from ..telemetry.tracing import TraceRing, Tracer
 
-        tracer = Tracer("client", ring=SpanRing(1 << 17))
+        tracer = Tracer("client", ring=TraceRing(1 << 17))
     if recorder_dir:
-        from ..obs.recorder import open_recorder
+        from ..telemetry.recorder import open_recorder
 
         recorder = open_recorder(recorder_dir)
 
@@ -201,7 +201,7 @@ def run_serve_throughput(
         try:
             # Sample 1.0 when traced: the bench exists to produce
             # complete traces, not to measure tracing cost (that is
-            # repro.obs.overhead's job).
+            # repro.telemetry.overhead's job).
             with ServeClient(
                 port=gateway.port, tracer=tracer, trace_sample=1.0
             ) as client:
@@ -257,9 +257,9 @@ def run_serve_throughput(
     info = manager.server_info()
     trace_report: Optional[dict] = None
     if tracer is not None:
-        from ..obs.collector import validate_span_tree, write_chrome_trace
+        from ..telemetry import validate_span_tree, write_chrome_trace
 
-        spans = tracer.ring.spans()
+        spans = tracer.ring.items()
         problems = validate_span_tree(spans)
         trace_report = {
             "spans": len(spans),

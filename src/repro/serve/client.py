@@ -29,7 +29,7 @@ Errors come back as :class:`ServeError` carrying the wire error code
 branch on ``exc.code == "at_capacity"`` etc.
 
 Observability: constructed with a ``tracer``
-(:class:`repro.obs.tracing.Tracer`), the client opens one
+(:class:`repro.telemetry.tracing.Tracer`), the client opens one
 ``client.<op>`` span per request — covering every reconnect/retry
 attempt, i.e. the tenant-visible round-trip — and sends its context as
 the protocol's optional ``trace`` field, so the gateway's server-side
@@ -58,7 +58,7 @@ from . import protocol
 #: client+gateway cost (~25us end-to-end on loopback, GIL ping-pong
 #: included), so 1-in-16 keeps steady-state tracing at ~1.5% of serve
 #: throughput — comfortably inside the 5% budget that
-#: :mod:`repro.obs.overhead` gates (see there for the measurement).
+#: :mod:`repro.telemetry.overhead` gates (see there for the measurement).
 DEFAULT_TRACE_SAMPLE = 0.0625
 
 #: Per-op client span names, precomputed off the hot path.

@@ -43,7 +43,7 @@ clean typed errors, never silence):
 * ``response_delay_s`` (chaos hook) injects latency in front of every
   response so client timeout/retry paths can be exercised end-to-end.
 
-Observability (all optional, see :mod:`repro.obs`): a ``tracer`` makes
+Observability (all optional, see :mod:`repro.telemetry`): a ``tracer`` makes
 the gateway open one ``server.<op>`` span per request — parented under
 the client's span when the request carries the protocol's ``trace``
 field — plus a ``server.admit`` span while an ``open`` waits in the
@@ -150,16 +150,16 @@ class Gateway:
         self._admission_waiters = 0
         self._conn_ids = itertools.count(1)
         self._closing = False
-        #: Optional :class:`repro.obs.tracing.Tracer` (per-request
+        #: Optional :class:`repro.telemetry.tracing.Tracer` (per-request
         #: ``server.<op>`` spans) and
-        #: :class:`repro.obs.recorder.FlightRecorder` (structured events).
+        #: :class:`repro.telemetry.recorder.FlightRecorder` (structured events).
         self._tracer = tracer
         self._recorder = recorder
         #: Per-tenant SLO instruments, written into the same registry
         #: the ``/metrics`` endpoint renders (None without telemetry).
         self._slo = None
         if manager._telemetry is not None:
-            from ..obs.slo import SloTracker
+            from ..telemetry.slo import SloTracker
 
             self._slo = SloTracker(manager._telemetry.registry)
 
@@ -561,7 +561,7 @@ class Gateway:
                 await writer.wait_closed()
 
     def _render_metrics(self) -> str:
-        from ..perf.metrics_export import render_openmetrics
+        from ..telemetry.counters import render_openmetrics
 
         telemetry = self.manager._telemetry
         if telemetry is None:

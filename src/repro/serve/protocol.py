@@ -33,7 +33,7 @@ failure (all additive — protocol ``qtaccel-serve/2`` accepts every
   owns the session nor presents the token are refused (``forbidden``).
 
 Two further optional fields feed the observability layer
-(:mod:`repro.obs`); both are advisory, and — like every unknown
+(:mod:`repro.telemetry`); both are advisory, and — like every unknown
 optional field — a ``/2`` peer that does not understand them MUST
 ignore them rather than reject the request:
 
@@ -261,7 +261,7 @@ def parse_deadline(req: dict, *, now: float) -> float | None:
 def parse_trace(req: dict):
     """Pull the optional ``trace`` span context out of a request.
 
-    Returns a :class:`repro.obs.tracing.TraceContext` or ``None``.
+    Returns a :class:`repro.telemetry.tracing.TraceContext` or ``None``.
     Never raises: a malformed ``trace`` field means "untraced", not
     ``bad_request`` — observability must not break traffic, and peers
     that predate the field must stay compatible with ones that send it.
@@ -269,7 +269,7 @@ def parse_trace(req: dict):
     field = req.get("trace")
     if field is None:
         return None
-    from ..obs.tracing import ctx_from_wire
+    from ..telemetry.tracing import ctx_from_wire
 
     return ctx_from_wire(field)
 

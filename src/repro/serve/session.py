@@ -58,7 +58,7 @@ from .protocol import (
     E_NO_SESSION,
     ProtocolError,
 )
-from ..obs.slo import DEFAULT_TENANT, sanitize_tenant
+from ..telemetry.slo import DEFAULT_TENANT, sanitize_tenant
 
 #: Reusable no-op context for the untraced hot path (nullcontext is
 #: stateless, so one shared instance serves every call).
@@ -268,13 +268,13 @@ class SessionManager:
         #: ``serve.tenant.<tenant>.<key>`` counters so one noisy tenant
         #: cannot hide another's burn in the OpenMetrics output.
         self.tenant_stats: dict[str, dict[str, int]] = {}
-        #: Optional :class:`repro.obs.tracing.Tracer` — spans the
+        #: Optional :class:`repro.telemetry.tracing.Tracer` — spans the
         #: structural ops (open/close/checkpoint/restore/batch/replay/
         #: recovery/audit/failover); single learns/acts stay span-free
         #: here because the gateway's per-request server span already
         #: times them.
         self._tracer = tracer
-        #: Optional :class:`repro.obs.recorder.FlightRecorder` for
+        #: Optional :class:`repro.telemetry.recorder.FlightRecorder` for
         #: structured events (recoveries, failovers, audit repairs,
         #: deadline aborts).
         self._recorder = recorder

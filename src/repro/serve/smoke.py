@@ -16,7 +16,7 @@ slots for a few seconds, SIGKILLs a shard worker mid-run, and asserts:
 Exit status 0 on success, 1 on any violation (the CI job gates on it).
 
 ``--obs-dir DIR`` attaches a flight recorder (see
-:mod:`repro.obs.recorder`); on a red run the surviving event ring is
+:mod:`repro.telemetry.recorder`); on a red run the surviving event ring is
 merged into ``DIR/flight_dump.jsonl`` so the failure ships its own
 post-mortem.
 """
@@ -124,7 +124,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from ..obs.recorder import open_recorder
+    from ..telemetry.recorder import open_recorder
 
     recorder = open_recorder(args.obs_dir)
     config = QTAccelConfig.qlearning(seed=11)

@@ -13,11 +13,21 @@ When telemetry is disabled there is nothing to pay at all: code that
 rarer pattern of an instrument handle that must always exist,
 :data:`NULL_REGISTRY` hands out shared no-op singletons without
 allocating per name.
+
+The registry's wire format is OpenMetrics/Prometheus exposition text:
+:func:`render_openmetrics` renders it (the gateway's ``/metrics`` page
+and :class:`~repro.telemetry.session.OpenMetricsTextfileEmitter`),
+:func:`counters_from_openmetrics` parses a scrape back into the flat
+``as_dict()`` shape the SLO report reads, and
+:func:`validate_openmetrics` is the conformance checker the golden
+fixture test and the live fleet-run test share.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
+import re
 from typing import Iterable, Optional, Union
 
 Number = Union[int, float]
@@ -175,12 +185,6 @@ class CounterRegistry:
     def __len__(self) -> int:
         return len(self._instruments)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def names(self) -> list[str]:
-        return sorted(self._instruments)
-
     def instruments(self) -> list[Union[Counter, Gauge, Histogram]]:
         """Every registered instrument, sorted by name (typed view for
         exporters that must distinguish counter/gauge/histogram)."""
@@ -257,9 +261,6 @@ class NullRegistry:
     def histogram(self, name: str, bounds=DEFAULT_BOUNDS) -> Histogram:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
-    def names(self) -> list[str]:
-        return []
-
     def instruments(self) -> list:
         return []
 
@@ -275,9 +276,277 @@ class NullRegistry:
     def __len__(self) -> int:
         return 0
 
-    def __contains__(self, name: str) -> bool:
-        return False
-
 
 #: The process-wide disabled registry.
 NULL_REGISTRY = NullRegistry()
+
+
+# ---------------------------------------------------------------------- #
+# OpenMetrics codec: render for scrapers, parse back for the SLO report,
+# validate for conformance tests
+# ---------------------------------------------------------------------- #
+
+_NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+_LABEL_OK = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+
+#: Sample line of the exposition format (after comment lines are set
+#: aside): name, optional label set, value, optional timestamp.
+_SAMPLE_RE = re.compile(
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+    r"(?:\{(?P<labels>(?:[a-zA-Z_][a-zA-Z0-9_]*=\"(?:\\.|[^\"\\])*\",?)*)\})?"
+    r" (?P<value>[+-]?(?:[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?|Inf|NaN))"
+    r"(?: (?P<ts>[0-9]+(?:\.[0-9]+)?))?$"
+)
+
+_TYPES = ("counter", "gauge", "histogram", "summary", "untyped", "info", "stateset")
+
+
+def sanitize_metric_name(name: str) -> str:
+    """Coerce an arbitrary string into a legal metric name.
+
+    Dots and other illegal characters become underscores; a leading
+    digit gets a guard underscore.  Idempotent on already-legal names.
+    """
+    if _NAME_OK.match(name):
+        return name
+    out = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
+    if not out or not re.match(r"[a-zA-Z_:]", out[0]):
+        out = "_" + out
+    return out
+
+
+def escape_label_value(value: str) -> str:
+    """Escape a label value per the exposition format."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _fmt_value(v) -> str:
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    f = float(v)
+    if math.isinf(f):
+        return "+Inf" if f > 0 else "-Inf"
+    if f == int(f) and abs(f) < 1e15:
+        return str(int(f))
+    return repr(f)
+
+
+def _labels(pairs: dict[str, str]) -> str:
+    if not pairs:
+        return ""
+    for key in pairs:
+        if not _LABEL_OK.match(key):
+            raise ValueError(f"illegal label name {key!r}")
+    inner = ",".join(f'{k}="{escape_label_value(str(v))}"' for k, v in pairs.items())
+    return "{" + inner + "}"
+
+
+def render_openmetrics(
+    registry,
+    *,
+    namespace: str = "qtaccel",
+    labels: Optional[dict[str, str]] = None,
+    eof: bool = True,
+) -> str:
+    """Render every instrument in ``registry`` as exposition text.
+
+    Instruments keep their dotted names as a ``name`` label on three
+    metric families (``<ns>_counter_total``, ``<ns>_gauge``,
+    ``<ns>_histogram``) so a thousand pipeline counters don't mint a
+    thousand metric families; histogram buckets are converted to the
+    format's cumulative ``le`` form with the mandatory ``+Inf`` bucket.
+    ``labels`` are attached to every sample (e.g. ``{"run": "fleet3"}``)
+    in addition to the per-instrument ``name`` label.  ``eof=False``
+    omits the terminating ``# EOF`` for embedding in a larger page.
+    """
+    ns = sanitize_metric_name(namespace)
+    extra = dict(labels or {})
+    instruments = registry.instruments()
+    lines: list[str] = []
+    for kind in (Counter, Gauge, Histogram):
+        members = [inst for inst in instruments if isinstance(inst, kind)]
+        if not members:
+            continue
+        family = kind.__name__.lower()
+        metric = f"{ns}_{family}"
+        lines.append(f"# HELP {metric} QTAccel telemetry {family}s by dotted name.")
+        lines.append(f"# TYPE {metric} {family}")
+        for inst in members:
+            lab = _labels({"name": inst.name, **extra})
+            if kind is Counter:
+                lines.append(f"{metric}_total{lab} {_fmt_value(inst.value)}")
+            elif kind is Gauge:
+                lines.append(f"{metric}{lab} {_fmt_value(inst.value)}")
+            else:
+                cumulative = 0
+                for bound, count in zip(inst.bounds, inst.buckets):
+                    cumulative += count
+                    le = _labels({"name": inst.name, **extra, "le": _fmt_value(bound)})
+                    lines.append(f"{metric}_bucket{le} {cumulative}")
+                le = _labels({"name": inst.name, **extra, "le": "+Inf"})
+                lines.append(f"{metric}_bucket{le} {inst.count}")
+                lines.append(f"{metric}_sum{lab} {_fmt_value(inst.total)}")
+                lines.append(f"{metric}_count{lab} {inst.count}")
+    if eof:
+        lines.append("# EOF")
+    return "\n".join(lines) + "\n"
+
+
+def counters_from_openmetrics(text: str) -> dict:
+    """Parse ``render_openmetrics`` output back into a flat counter dict.
+
+    Counters and gauges come back as numbers keyed by their dotted
+    instrument name; histograms come back as summary dicts
+    (``count``/``sum``/``buckets``) — the shape a registry ``as_dict()``
+    produces, minus the ``min``/``max`` the format does not carry — so
+    :func:`repro.telemetry.slo.slo_report` accepts either source.
+    """
+    flat: dict = {}
+    hists: dict[str, dict] = {}
+    cumulative: dict[str, list[tuple[float, float]]] = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        m = _SAMPLE_RE.match(line)
+        if not m:
+            continue
+        metric = m.group("name")
+        labels_raw = m.group("labels") or ""
+        value_raw = m.group("value")
+        labels = dict(re.findall(r'(\w+)="([^"]*)"', labels_raw))
+        name = labels.get("name")
+        if not name:
+            continue
+        value = float(value_raw)
+        if metric.endswith("_counter_total") or metric.endswith("_gauge"):
+            flat[name] = value
+        elif metric.endswith("_histogram_bucket"):
+            le = labels.get("le", "+Inf")
+            bound = float("inf") if le == "+Inf" else float(le)
+            cumulative.setdefault(name, []).append((bound, value))
+        elif metric.endswith("_histogram_count"):
+            hists.setdefault(name, {})["count"] = int(value)
+        elif metric.endswith("_histogram_sum"):
+            hists.setdefault(name, {})["sum"] = value
+    for name, pairs in cumulative.items():
+        pairs.sort()
+        buckets: dict[str, int] = {}
+        prev = 0.0
+        for bound, cum in pairs:
+            n = int(cum - prev)
+            prev = cum
+            if bound == float("inf"):
+                buckets["overflow"] = n
+            else:
+                key = f"le_{int(bound)}" if float(bound).is_integer() else f"le_{bound}"
+                buckets[key] = n
+        summary = hists.setdefault(name, {})
+        summary.setdefault("count", int(pairs[-1][1]) if pairs else 0)
+        summary["buckets"] = buckets
+    flat.update(hists)
+    return flat
+
+
+def validate_openmetrics(text: str) -> list[str]:
+    """Check exposition text for format conformance; return error list.
+
+    Enforces the rules the golden-fixture test relies on: legal sample
+    syntax, ``# TYPE`` declared before a family's samples, one TYPE per
+    family, counter samples carrying the ``_total`` suffix, histogram
+    buckets cumulative with a ``+Inf`` bucket equal to ``_count``, and
+    the terminating ``# EOF``.  An empty list means conformant.
+    """
+    errors: list[str] = []
+    if not text.endswith("\n"):
+        errors.append("text must end with a newline")
+    lines = text.splitlines()
+    if not lines or lines[-1] != "# EOF":
+        errors.append("missing terminating '# EOF' line")
+    types: dict[str, str] = {}
+    hist_state: dict[tuple[str, str], dict] = {}
+    for i, line in enumerate(lines, 1):
+        if not line:
+            errors.append(f"line {i}: blank line")
+            continue
+        if line == "# EOF":
+            if i != len(lines):
+                errors.append(f"line {i}: '# EOF' before end of text")
+            continue
+        if line.startswith("#"):
+            parts = line.split(" ", 3)
+            if len(parts) < 3 or parts[1] not in ("HELP", "TYPE", "UNIT"):
+                errors.append(f"line {i}: malformed comment {line!r}")
+                continue
+            _, kind, family = parts[0], parts[1], parts[2]
+            if not _NAME_OK.match(family):
+                errors.append(f"line {i}: illegal metric family name {family!r}")
+            if kind == "TYPE":
+                if len(parts) != 4 or parts[3] not in _TYPES:
+                    errors.append(f"line {i}: unknown metric type in {line!r}")
+                elif family in types:
+                    errors.append(f"line {i}: duplicate TYPE for {family}")
+                else:
+                    types[family] = parts[3]
+            continue
+        m = _SAMPLE_RE.match(line)
+        if m is None:
+            errors.append(f"line {i}: malformed sample {line!r}")
+            continue
+        name = m.group("name")
+        family, suffix = _family_of(name, types)
+        if family is None:
+            errors.append(f"line {i}: sample {name!r} has no preceding TYPE")
+            continue
+        mtype = types[family]
+        label_str = m.group("labels") or ""
+        if mtype == "counter" and suffix not in ("_total", "_created"):
+            errors.append(f"line {i}: counter sample {name!r} must end in _total")
+        if mtype == "histogram":
+            key = (family, _strip_le(label_str))
+            state = hist_state.setdefault(
+                key, {"last_bucket": None, "saw_inf": False, "count": None}
+            )
+            if suffix == "_bucket":
+                le = _le_value(label_str)
+                if le is None:
+                    errors.append(f"line {i}: histogram bucket without 'le' label")
+                    continue
+                value = float(m.group("value"))
+                last = state["last_bucket"]
+                if last is not None and value < last:
+                    errors.append(f"line {i}: histogram buckets not cumulative")
+                state["last_bucket"] = value
+                if le == "+Inf":
+                    state["saw_inf"] = True
+                    state["inf_value"] = value
+            elif suffix == "_count":
+                state["count"] = float(m.group("value"))
+    for (family, labels), state in hist_state.items():
+        where = f"{family}{{{labels}}}" if labels else family
+        if not state["saw_inf"]:
+            errors.append(f"{where}: histogram missing '+Inf' bucket")
+        elif state["count"] is not None and state.get("inf_value") != state["count"]:
+            errors.append(f"{where}: '+Inf' bucket != _count")
+    return errors
+
+
+def _family_of(name: str, types: dict[str, str]) -> tuple[Optional[str], str]:
+    """Resolve a sample name to its declared family and suffix."""
+    for suffix in ("_total", "_created", "_bucket", "_sum", "_count", ""):
+        base = name[: -len(suffix)] if suffix else name
+        if suffix and not name.endswith(suffix):
+            continue
+        if base in types:
+            return base, suffix
+    return None, ""
+
+
+def _strip_le(label_str: str) -> str:
+    return ",".join(
+        part for part in label_str.split(",") if part and not part.startswith("le=")
+    )
+
+
+def _le_value(label_str: str) -> Optional[str]:
+    m = re.search(r'le="((?:\\.|[^"\\])*)"', label_str)
+    return m.group(1) if m else None

@@ -35,7 +35,7 @@ import statistics
 import time
 from typing import Callable
 
-from .tracing import SpanRing, Tracer
+from .tracing import TraceRing, Tracer
 
 #: Tracing may cost at most 5% of untraced serve-path throughput.
 TRACING_OVERHEAD_BUDGET = 1.05
@@ -61,7 +61,7 @@ def _build_stack():
     from ..serve.gateway import Gateway, run_gateway_in_thread
     from ..serve.session import SessionManager, build_serve_backend
 
-    tracer = Tracer("client", ring=SpanRing(1 << 17))
+    tracer = Tracer("client", ring=TraceRing(1 << 17))
     backend = build_serve_backend(
         QTAccelConfig.qlearning(seed=13),
         engine="vectorized",

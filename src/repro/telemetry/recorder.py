@@ -14,11 +14,13 @@ useless.
 
 ``run_chaos_campaign`` and the smoke gates call :meth:`dump` on
 failure to merge the surviving segments into one artifact file that CI
-uploads as the run's own post-mortem.
+uploads as the run's own post-mortem; ``python -m repro.telemetry
+trace`` converts the span records of such a dump into a Chrome trace.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -34,6 +36,30 @@ DEFAULT_MAX_SEGMENTS = 4
 
 _SEGMENT_PREFIX = "flight-"
 _SEGMENT_SUFFIX = ".jsonl"
+
+
+def read_records(path) -> Iterator[Optional[dict]]:
+    """The JSON-object records of one JSONL file, oldest first.
+
+    A torn or corrupt line yields ``None`` so callers can count what
+    they skipped; blank lines are ignored.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            yield record if isinstance(record, dict) else None
+
+
+def _span_record(span) -> dict:
+    payload = span.to_dict() if hasattr(span, "to_dict") else dict(span)
+    payload["type"] = "span"
+    return payload
 
 
 class FlightRecorder:
@@ -59,22 +85,21 @@ class FlightRecorder:
         self._lines_in_segment = 0
         self.total_records = 0
         # Resume numbering after any segments left by a previous run.
-        existing = self._segment_paths()
-        self._segment_no = (
-            int(existing[-1].stem[len(_SEGMENT_PREFIX) :]) + 1 if existing else 0
-        )
+        self._segment_no = max(self._numbered_segments(), default=(-1,))[0] + 1
 
     # -- segment plumbing ---------------------------------------------- #
 
-    def _segment_paths(self) -> list[Path]:
-        paths = []
+    def _numbered_segments(self) -> list[tuple[int, Path]]:
+        numbered = []
         for p in self.directory.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}"):
             try:
-                int(p.stem[len(_SEGMENT_PREFIX) :])
+                numbered.append((int(p.stem[len(_SEGMENT_PREFIX) :]), p))
             except ValueError:
                 continue
-            paths.append(p)
-        return sorted(paths, key=lambda p: int(p.stem[len(_SEGMENT_PREFIX) :]))
+        return sorted(numbered)
+
+    def _segment_paths(self) -> list[Path]:
+        return [p for _, p in self._numbered_segments()]
 
     def _segment_path(self, n: int) -> Path:
         return self.directory / f"{_SEGMENT_PREFIX}{n:06d}{_SEGMENT_SUFFIX}"
@@ -118,8 +143,7 @@ class FlightRecorder:
 
     def record_span(self, span) -> None:
         """File one finished span (usable as a :class:`Tracer` sink)."""
-        payload = span.to_dict() if hasattr(span, "to_dict") else dict(span)
-        payload["type"] = "span"
+        payload = _span_record(span)
         with self._lock:
             self._write_locked(payload)
 
@@ -133,17 +157,7 @@ class FlightRecorder:
             paths = self._segment_paths()
         for path in paths:
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            record = json.loads(line)
-                        except ValueError:
-                            continue
-                        if isinstance(record, dict):
-                            yield record
+                yield from filter(None, read_records(path))
             except OSError:  # pragma: no cover - segment raced away
                 continue
 
@@ -159,7 +173,7 @@ class FlightRecorder:
     def dump(self, path=None, *, spans=None) -> str:
         """Merge surviving segments into one JSONL artifact; returns path.
 
-        ``spans`` (an iterable of :class:`~repro.obs.tracing.Span` or
+        ``spans`` (an iterable of :class:`~repro.telemetry.tracing.Span` or
         span dicts, e.g. a ring snapshot) is appended as ``span``
         records — spans deliberately do NOT stream through the recorder
         while in flight (a per-span disk write would tank the serve hot
@@ -172,12 +186,9 @@ class FlightRecorder:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + ".tmp")
         with open(tmp, "w", encoding="utf-8") as out:
-            for record in self.records():
+            spans = (_span_record(span) for span in spans or ())
+            for record in itertools.chain(self.records(), spans):
                 out.write(json.dumps(record, separators=(",", ":")) + "\n")
-            for span in spans or ():
-                payload = span.to_dict() if hasattr(span, "to_dict") else dict(span)
-                payload["type"] = "span"
-                out.write(json.dumps(payload, separators=(",", ":")) + "\n")
         os.replace(tmp, path)
         return str(path)
 
@@ -186,12 +197,6 @@ class FlightRecorder:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
-
-    def __enter__(self) -> "FlightRecorder":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def open_recorder(

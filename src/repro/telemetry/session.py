@@ -1,8 +1,8 @@
 """The :class:`TelemetrySession` — wiring counters and traces into engines.
 
 A session owns one :class:`~repro.telemetry.counters.CounterRegistry`
-and (optionally) one :class:`~repro.telemetry.trace.TraceRecorder`, and
-knows how to *attach* to the library's engines:
+and (optionally) one :class:`~repro.telemetry.tracing.TraceRing` of
+cycle events, and knows how to *attach* to the library's engines:
 
 * :class:`~repro.core.pipeline.QTAccelPipeline` — a
   :class:`PipelineProbe` is installed on the pipeline's single hook
@@ -20,16 +20,27 @@ Sessions are context managers; inside a ``with`` block the session is
 *ambient* (:func:`current_session`), and every engine constructed in
 that window attaches itself — which is how ``--telemetry`` reaches
 experiments without threading a parameter through every harness.
+
+Long-running engines (the shared and batch fleets, the fleet
+supervisor) :meth:`~TelemetrySession.pulse` their session inside their
+run loops; each registered emitter (:class:`JsonlEmitter`,
+:class:`OpenMetricsTextfileEmitter`) rate-limits itself, so a
+mid-flight scrape costs nothing when no emitter is registered and a
+clock check when one is.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import time
+from pathlib import Path
 from typing import Optional
 
-from .counters import CounterRegistry
+from .counters import CounterRegistry, render_openmetrics
 from .export import write_chrome_trace, write_profile_csv, write_profile_json
-from .trace import TraceRecorder
+from .tracing import TraceEvent, TraceRing
 
 #: Stack of ambient sessions (innermost last).
 _ACTIVE: list["TelemetrySession"] = []
@@ -57,14 +68,16 @@ FORWARD_PATHS = (
 class PipelineProbe:
     """Per-pipeline hook object the instrumented stages call into.
 
-    Counter updates are direct attribute adds; trace recording is one
-    method call guarded by the recorder's presence.  A pipeline holds at
-    most one probe; ``pipe._tel is None`` is the disabled fast path.
+    Counter updates are direct attribute adds; the pure-trace stage
+    events (issue, select, hold, stall, retire) are appended by the
+    pipeline straight into :attr:`ring` as :class:`TraceEvent` records.
+    A pipeline holds at most one probe; ``pipe._tel is None`` is the
+    disabled fast path.
     """
 
     __slots__ = (
         "name",
-        "recorder",
+        "ring",
         "occ_s1",
         "occ_s2",
         "occ_s3",
@@ -73,9 +86,9 @@ class PipelineProbe:
         "fwd",
     )
 
-    def __init__(self, name: str, registry: CounterRegistry, recorder):
+    def __init__(self, name: str, registry: CounterRegistry, ring):
         self.name = name
-        self.recorder = recorder
+        self.ring = ring
         p = name + "."
         self.occ_s1 = registry.counter(p + "stage.S1.active")
         self.occ_s2 = registry.counter(p + "stage.S2.active")
@@ -87,47 +100,15 @@ class PipelineProbe:
             for stage, kind in FORWARD_PATHS
         }
 
-    # Stage events ----------------------------------------------------- #
-
-    def issue(self, cycle: int, index: int) -> None:
-        if self.recorder is not None:
-            self.recorder.record(cycle, self.name, "S1", "issue", index)
-
-    def select(self, cycle: int, index: int) -> None:
-        if self.recorder is not None:
-            self.recorder.record(cycle, self.name, "S2", "select", index)
-
-    def hold(self, cycle: int, index: int) -> None:
-        if self.recorder is not None:
-            self.recorder.record(cycle, self.name, "S2", "hold", index)
-
-    def stall(self, cycle: int, stage: str, index: int) -> None:
-        if self.recorder is not None:
-            self.recorder.record(cycle, self.name, stage, "stall", index)
-
-    def retire(self, cycle: int, index: int) -> None:
-        if self.recorder is not None:
-            self.recorder.record(cycle, self.name, "S4", "retire", index)
-
     def qmax_raise(self, cycle: int, index: int) -> None:
         self.c_qmax_raise.value += 1
-        if self.recorder is not None:
-            self.recorder.record(cycle, self.name, "S4", "qmax_raise", index)
+        if self.ring is not None:
+            self.ring.append(TraceEvent(cycle, self.name, "S4", "qmax_raise", index))
 
     def forward(self, cycle: int, stage: str, kind: str, index: int, hits: int) -> None:
         self.fwd[(stage, kind)].value += hits
-        if self.recorder is not None:
-            self.recorder.record(cycle, self.name, stage, "forward", index, hits)
-
-    def occupancy(self, s1: bool, s2: bool, s3: bool, s4: bool) -> None:
-        if s1:
-            self.occ_s1.value += 1
-        if s2:
-            self.occ_s2.value += 1
-        if s3:
-            self.occ_s3.value += 1
-        if s4:
-            self.occ_s4.value += 1
+        if self.ring is not None:
+            self.ring.append(TraceEvent(cycle, self.name, stage, "forward", index, hits))
 
 
 class CounterGroup:
@@ -184,17 +165,14 @@ class TelemetrySession:
         trace_capacity: int = 65536,
     ):
         self.registry = CounterRegistry()
-        self.recorder: Optional[TraceRecorder] = (
-            TraceRecorder(trace_capacity) if trace else None
-        )
+        #: Bounded ring of the attached pipelines' cycle events.
+        self.ring: Optional[TraceRing] = TraceRing(trace_capacity) if trace else None
         self._pipes: list[tuple[str, object]] = []
         self._snapshots: list[tuple[str, object]] = []
         self._names: set[str] = set()
         self._seen_ids: dict[int, str] = {}
         self._device: Optional[tuple[object, int, Optional[int]]] = None
-        #: Live-export hooks (see :mod:`repro.perf.metrics_export`):
-        #: long-running engines call :meth:`pulse` inside their run
-        #: loops; each registered emitter rate-limits itself.
+        #: Live-export hooks offered a chance to emit on every :meth:`pulse`.
         self._emitters: list = []
 
     # ------------------------------------------------------------------ #
@@ -209,10 +187,6 @@ class TelemetrySession:
         if not _ACTIVE or _ACTIVE[-1] is not self:
             raise RuntimeError("telemetry session stack out of order")
         _ACTIVE.pop()
-
-    def activate(self) -> "TelemetrySession":
-        """Alias for use as ``with session.activate():`` when re-entering."""
-        return self
 
     # ------------------------------------------------------------------ #
     # Attachment
@@ -243,7 +217,7 @@ class TelemetrySession:
 
         if isinstance(obj, QTAccelPipeline):
             assigned = self._unique(name or f"pipe{len(self._pipes)}")
-            probe = PipelineProbe(assigned, self.registry, self.recorder)
+            probe = PipelineProbe(assigned, self.registry, self.ring)
             obj._tel = probe
             self._pipes.append((assigned, obj))
             self._seen_ids[id(obj)] = assigned
@@ -264,8 +238,7 @@ class TelemetrySession:
 
     def add_emitter(self, emitter) -> None:
         """Register a live-metrics emitter (an object with
-        ``maybe_emit(session)``, e.g.
-        :class:`repro.perf.metrics_export.JsonlEmitter`)."""
+        ``maybe_emit(session)``, e.g. :class:`JsonlEmitter`)."""
         self._emitters.append(emitter)
 
     def pulse(self) -> None:
@@ -340,9 +313,9 @@ class TelemetrySession:
         profile: dict = {
             "meta": {
                 "instruments": len(self.registry),
-                "events_total": self.recorder.total if self.recorder else 0,
-                "events_retained": len(self.recorder) if self.recorder else 0,
-                "events_dropped": self.recorder.dropped if self.recorder else 0,
+                "events_total": self.ring.total if self.ring else 0,
+                "events_retained": len(self.ring) if self.ring else 0,
+                "events_dropped": self.ring.dropped if self.ring else 0,
             },
             "totals": {
                 "cycles": cycles,
@@ -377,11 +350,11 @@ class TelemetrySession:
     # Exports
     # ------------------------------------------------------------------ #
 
-    def export_chrome_trace(self, path, *, us_per_cycle: float = 1.0) -> None:
+    def export_chrome_trace(self, path) -> None:
         """Write the retained trace as Chrome ``trace_event`` JSON."""
-        if self.recorder is None:
+        if self.ring is None:
             raise RuntimeError("session was created with trace=False")
-        write_chrome_trace(path, self.recorder.events(), us_per_cycle=us_per_cycle)
+        write_chrome_trace(path, self.ring.items())
 
     def export_profile(self, path, *, fmt: str = "json") -> None:
         """Write the profile summary as JSON or two-column CSV."""
@@ -392,3 +365,85 @@ class TelemetrySession:
             write_profile_csv(path, profile)
         else:
             raise ValueError(f"unknown profile format {fmt!r}; use 'json' or 'csv'")
+
+
+# ---------------------------------------------------------------------- #
+# Live emitters (registered with TelemetrySession.add_emitter)
+# ---------------------------------------------------------------------- #
+
+
+class _PeriodicEmitter:
+    """Shared rate limiting: emit at most once per ``interval_s``.
+
+    ``interval_s=0`` emits on every pulse — what the tests use for
+    deterministic line counts.  ``clock`` is injectable for testing.
+    Subclasses implement ``emit(session)``; ``emits`` counts the calls.
+    """
+
+    def __init__(self, path, *, interval_s: float = 1.0, clock=time.monotonic):
+        if interval_s < 0:
+            raise ValueError("interval_s must be non-negative")
+        self.path = Path(path)
+        self.interval_s = interval_s
+        self.emits = 0
+        self._clock = clock
+        self._last: Optional[float] = None
+
+    def maybe_emit(self, session) -> bool:
+        now = self._clock()
+        if self._last is not None and now - self._last < self.interval_s:
+            return False
+        self._last = now
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.emit(session)
+        self.emits += 1
+        return True
+
+
+class JsonlEmitter(_PeriodicEmitter):
+    """Append one JSON object per emit: a scrapeable counter time series.
+
+    Each line carries the emit sequence number, a wall-clock timestamp,
+    and the registry's flat counter snapshot, so a long fleet run can be
+    tailed (``tail -f run.metrics.jsonl | jq``) or loaded as a frame per
+    line after the fact.
+    """
+
+    def emit(self, session) -> None:
+        record = {
+            "seq": self.emits,
+            "time_unix": time.time(),
+            "counters": session.registry.as_dict(),
+        }
+        with open(self.path, "a") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+class OpenMetricsTextfileEmitter(_PeriodicEmitter):
+    """Atomically rewrite an OpenMetrics textfile on each emit.
+
+    The node-exporter textfile-collector pattern: a scraper reads the
+    file at its own cadence and always sees a complete exposition
+    (write to ``<path>.tmp``, then rename).
+    """
+
+    def __init__(
+        self,
+        path,
+        *,
+        interval_s: float = 1.0,
+        namespace: str = "qtaccel",
+        labels: Optional[dict[str, str]] = None,
+        clock=time.monotonic,
+    ):
+        super().__init__(path, interval_s=interval_s, clock=clock)
+        self.namespace = namespace
+        self.labels = labels
+
+    def emit(self, session) -> None:
+        text = render_openmetrics(
+            session.registry, namespace=self.namespace, labels=self.labels
+        )
+        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
+        tmp.write_text(text)
+        os.replace(tmp, self.path)

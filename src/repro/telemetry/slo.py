@@ -11,9 +11,10 @@ exposes on ``/metrics``:
 
 :func:`slo_report` turns a flat counter dump — a registry ``as_dict()``,
 a telemetry profile JSON, or OpenMetrics exposition text parsed by
-:func:`repro.perf.metrics_export.counters_from_openmetrics` — into per-tenant p50/p95/p99 and
-error totals, and scores them against a threshold file for the
-``python -m repro.obs report --slo`` gate.
+:func:`~repro.telemetry.counters.counters_from_openmetrics` — into
+per-tenant p50/p95/p99 and error totals, and :func:`check_slo` scores
+them against a threshold file for the ``python -m repro.telemetry slo
+--slo`` gate.
 
 Threshold file shape (JSON)::
 
@@ -25,6 +26,9 @@ Threshold file shape (JSON)::
 
 Per-tenant entries override ``default`` key-by-key.  ``max_errors``
 caps the *total* count of one error code for that tenant.
+:func:`validate_thresholds` rejects any other shape with a
+``ValueError``, so a broken threshold file never reads as a burned
+budget.
 """
 
 from __future__ import annotations
@@ -162,8 +166,39 @@ def slo_report(counters: dict, *, prefix: str = SLO_PREFIX) -> dict:
     return {"tenants": tenants}
 
 
+_PERCENTILES = ("p50", "p95", "p99")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def validate_thresholds(thresholds) -> None:
+    """Raise ``ValueError`` unless ``thresholds`` has the documented shape."""
+    if not isinstance(thresholds, dict):
+        raise ValueError("thresholds must be a JSON object")
+    tenants = thresholds.get("tenants", {})
+    if not isinstance(tenants, dict):
+        raise ValueError("'tenants' must be an object of tenant -> limits")
+    entries = [("default", thresholds.get("default", {}))]
+    entries += [(f"tenants.{t}", limits) for t, limits in tenants.items()]
+    for where, limits in entries:
+        if not isinstance(limits, dict):
+            raise ValueError(f"{where} must be an object")
+        for pct in _PERCENTILES:
+            limit = limits.get(f"{pct}_ms")
+            if limit is not None and not _is_number(limit):
+                raise ValueError(f"{where}.{pct}_ms must be a number, got {limit!r}")
+        max_errors = limits.get("max_errors", {})
+        if not isinstance(max_errors, dict) or not all(
+            _is_number(cap) for cap in max_errors.values()
+        ):
+            raise ValueError(f"{where}.max_errors must map error codes to numbers")
+
+
 def check_slo(report: dict, thresholds: dict) -> list[str]:
     """Violations of a threshold file against a :func:`slo_report`."""
+    validate_thresholds(thresholds)
     default = thresholds.get("default") or {}
     per_tenant = thresholds.get("tenants") or {}
     violations: list[str] = []
@@ -171,7 +206,7 @@ def check_slo(report: dict, thresholds: dict) -> list[str]:
         limits = dict(default)
         limits.update(per_tenant.get(tenant) or {})
         for op, stats in sorted(entry.get("ops", {}).items()):
-            for pct in ("p50", "p95", "p99"):
+            for pct in _PERCENTILES:
                 limit = limits.get(f"{pct}_ms")
                 got = stats.get(f"{pct}_ms")
                 if limit is not None and got is not None and got > limit:

@@ -1,4 +1,5 @@
-"""Tests for the observability layer (`repro.obs`).
+"""Tests for the serving-stack side of `repro.telemetry`: spans, SLOs,
+the flight recorder and the CLI that reads what they leave behind.
 
 The centerpiece is the span-tree integrity property: *any* well-formed
 usage of the tracing API — nested spans, cross-"wire" propagation,
@@ -18,31 +19,30 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.collector import (
+from repro.telemetry import (
+    CounterRegistry,
+    FlightRecorder,
+    Span,
+    SloTracker,
+    TraceContext,
+    Tracer,
+    TraceRing,
+    check_slo,
     chrome_trace,
+    counters_from_openmetrics,
+    ctx_from_wire,
+    ctx_to_wire,
     merge_spans,
+    open_recorder,
+    render_openmetrics,
+    sanitize_tenant,
+    slo_report,
     validate_chrome_trace,
     validate_span_tree,
     write_chrome_trace,
 )
-from repro.obs.recorder import FlightRecorder, open_recorder
-from repro.obs.slo import (
-    SloTracker,
-    check_slo,
-    histogram_percentile,
-    sanitize_tenant,
-    slo_report,
-)
-from repro.obs.tracing import (
-    Span,
-    SpanRing,
-    TraceContext,
-    Tracer,
-    ctx_from_wire,
-    ctx_to_wire,
-)
-from repro.perf.metrics_export import counters_from_openmetrics, render_openmetrics
-from repro.telemetry.counters import CounterRegistry
+from repro.telemetry.__main__ import main as telemetry_main
+from repro.telemetry.slo import histogram_percentile
 
 
 # --------------------------------------------------------------------- #
@@ -97,7 +97,7 @@ class TestSpanTreeProperty:
     def test_any_legal_usage_validates(self, programs):
         """Every span has a reachable parent chain ending at a root of
         its own trace, and no span outlives the trace root."""
-        ring = SpanRing(1 << 12)
+        ring = TraceRing(1 << 12)
         tracers = [
             Tracer(proc, ring=ring)
             for proc in ("client", "gateway", "session", "backend")
@@ -116,7 +116,7 @@ class TestSpanTreeProperty:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(_programs, min_size=1, max_size=4), st.integers(0, 2))
     def test_corruption_is_detected(self, programs, mode):
-        ring = SpanRing(1 << 12)
+        ring = TraceRing(1 << 12)
         tracers = [Tracer("p", ring=ring)]
         for program in programs:
             _run_program(program, tracers)
@@ -143,14 +143,14 @@ class TestSpanTreeProperty:
 
 class TestTracing:
     def test_nested_spans_parent_through_layers(self):
-        ring = SpanRing()
+        ring = TraceRing()
         outer, inner = Tracer("gateway", ring=ring), Tracer("session", ring=ring)
         with outer.span("server.learn") as parent:
             with inner.span("session.learn") as child:
                 assert child.trace_id == parent.trace_id
                 assert child.parent_id == parent.span_id
         assert Tracer.current_context() is None
-        assert [s.proc for s in ring.spans()] == ["session", "gateway"]
+        assert [s.proc for s in ring.items()] == ["session", "gateway"]
 
     def test_wire_roundtrip_and_tolerance(self):
         ctx = TraceContext("t" * 16, "s" * 16)
@@ -169,19 +169,19 @@ class TestTracing:
         with pytest.raises(ValueError):
             with tracer.span("boom"):
                 raise ValueError("x")
-        (span,) = tracer.ring.spans()
+        (span,) = tracer.ring.items()
         assert span.attrs["error"] == "ValueError"
         assert span.end >= span.start
 
     def test_ring_bounds_and_drop_accounting(self):
-        ring = SpanRing(8)
+        ring = TraceRing(8)
         tracer = Tracer("t", ring=ring)
         for i in range(20):
             with tracer.span(f"s{i}"):
                 pass
         assert len(ring) == 8
         assert ring.total == 20 and ring.dropped == 12
-        assert [s.name for s in ring.spans()] == [f"s{i}" for i in range(12, 20)]
+        assert [s.name for s in ring.items()] == [f"s{i}" for i in range(12, 20)]
         drained = ring.drain()
         assert len(drained) == 8 and len(ring) == 0
 
@@ -192,19 +192,19 @@ class TestTracing:
              "parent_id": None, "proc": "shard0", "start": 1.0, "end": 2.0},
         ]
         assert tracer.adopt(shipped) == 1
-        (span,) = tracer.ring.spans()
+        (span,) = tracer.ring.items()
         assert isinstance(span, Span) and span.proc == "shard0"
         assert span.duration == 1.0
 
 
 class TestCollector:
     def _spans(self):
-        ring = SpanRing()
+        ring = TraceRing()
         tracer = Tracer("client", ring=ring)
         with tracer.span("client.learn"):
             with tracer.fork("gateway").span("server.learn"):
                 pass
-        return ring.spans()
+        return ring.items()
 
     def test_chrome_trace_shape_and_validation(self):
         doc = chrome_trace(self._spans(), meta={"bench": "unit"})
@@ -415,3 +415,137 @@ class TestClientSampling:
             client.request({"op": "learn", "s": 0, "a": 0, "r": 0.0, "ns": 1})
         assert all("trace" in m for m in sent)
         assert client.tracer.ring.total == 5
+
+
+# --------------------------------------------------------------------- #
+# CLI: trace conversion and the SLO gate
+# --------------------------------------------------------------------- #
+
+_GOOD_SPAN = {
+    "type": "span", "name": "client.learn", "trace_id": "t2", "span_id": "t2",
+    "parent_id": None, "proc": "client", "start": 1.0, "end": 2.0,
+}
+
+
+class TestTraceCli:
+    def test_non_numeric_timestamp_is_a_value_error(self):
+        for bad in (None, "1.0", True, [1]):
+            with pytest.raises(ValueError, match="start"):
+                Span.from_dict(dict(_GOOD_SPAN, start=bad))
+
+    def test_corrupt_span_record_is_skipped(self, tmp_path, capsys):
+        dump = tmp_path / "flight_dump.jsonl"
+        dump.write_text(
+            '{"type":"span","name":"x","trace_id":"t","span_id":"s","start":null,"end":1}\n'
+            + json.dumps(_GOOD_SPAN)
+            + "\n"
+        )
+        out = tmp_path / "trace.json"
+        assert telemetry_main(["trace", str(dump), "-o", str(out)]) == 0
+        assert "1 span(s)" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert validate_chrome_trace(doc) == []
+        assert [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"] == [
+            "client.learn"
+        ]
+
+    def test_torn_line_is_skipped(self, tmp_path, capsys):
+        dump = tmp_path / "flight_dump.jsonl"
+        dump.write_text(json.dumps(_GOOD_SPAN) + '\n{"type":"span","na')
+        assert telemetry_main(["trace", str(dump), "-o", str(tmp_path / "t.json")]) == 0
+        assert "1 corrupt line(s) skipped" in capsys.readouterr().out
+
+    def test_no_spans_and_missing_dump(self, tmp_path):
+        dump = tmp_path / "events.jsonl"
+        dump.write_text('{"type":"event","kind":"tick"}\n')
+        assert telemetry_main(["trace", str(dump), "-o", str(tmp_path / "t.json")]) == 1
+        assert telemetry_main(["trace", str(tmp_path / "gone.jsonl")]) == 2
+
+
+class TestSloCli:
+    def _scrape(self, tmp_path) -> str:
+        registry = CounterRegistry()
+        slo = SloTracker(registry)
+        for i in range(200):
+            slo.observe("acme", "learn", 0.4 + (i % 7) * 0.01)
+            slo.observe("acme", "act", 0.2)
+        slo.error("acme", "deadline")
+        path = tmp_path / "metrics.txt"
+        path.write_text(render_openmetrics(registry))
+        return str(path)
+
+    def _thresholds(self, tmp_path, thresholds) -> str:
+        path = tmp_path / "slo.json"
+        path.write_text(json.dumps(thresholds))
+        return str(path)
+
+    def test_gate_exit_codes(self, tmp_path, capsys):
+        scrape = self._scrape(tmp_path)
+        healthy = self._thresholds(
+            tmp_path,
+            {"default": {"p99_ms": 1000.0, "max_errors": {"deadline": 5}},
+             "tenants": {"acme": {"p95_ms": 500.0}}},
+        )
+        assert telemetry_main(["slo", scrape, "--slo", healthy]) == 0
+        out = capsys.readouterr().out
+        assert "acme" in out and "all SLO budgets met" in out
+        burned = self._thresholds(tmp_path, {"default": {"max_errors": {"deadline": 0}}})
+        assert telemetry_main(["slo", scrape, "--slo", burned, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"]
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [
+            [],
+            {"default": {"p99_ms": "5"}},
+            {"tenants": []},
+            {"tenants": {"acme": {"max_errors": {"deadline": "0"}}}},
+        ],
+    )
+    def test_malformed_threshold_file_exits_2(self, tmp_path, capsys, thresholds):
+        scrape = self._scrape(tmp_path)
+        path = self._thresholds(tmp_path, thresholds)
+        assert telemetry_main(["slo", scrape, "--slo", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "bad threshold file" in captured.err
+
+    def test_unreadable_source_exits_2(self, tmp_path, capsys):
+        assert telemetry_main(["slo", str(tmp_path / "gone.txt")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------- #
+# A traced chaos serve run leaves sound, loadable artifacts
+# --------------------------------------------------------------------- #
+
+
+def test_traced_chaos_serve_run_artifacts(tmp_path):
+    """Sharded serve run with worker 0 SIGSTOP'd, fully traced: the merged
+    trace spans every layer including the shard workers, the watchdog
+    restarted the worker, and both artifacts load."""
+    from repro.perf.serve import run_serve_throughput
+    from repro.telemetry.recorder import read_records
+
+    trace_path = tmp_path / "serve_trace.json"
+    record = run_serve_throughput(
+        engine="sharded",
+        quick=True,
+        chaos=True,
+        trace_path=str(trace_path),
+        recorder_dir=str(tmp_path / "flight"),
+    )
+    assert record["errors"] == []
+    trace = record["trace"]
+    procs = set(trace["procs"])
+    assert {"client", "gateway", "session"} <= procs
+    assert any(p.startswith("shard") for p in procs)
+    assert record["restarts"] >= 1
+    assert trace["problems"] == []
+    assert validate_chrome_trace(json.loads(trace_path.read_text())) == []
+    kinds = {
+        r.get("kind") for r in read_records(trace["recorder"])
+        if r is not None and r.get("type") == "event"
+    }
+    assert "worker_restarted" in kinds

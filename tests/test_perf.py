@@ -23,26 +23,31 @@ from repro.perf import (
     bootstrap_ci,
     build_snapshot,
     compare_snapshots,
-    escape_label_value,
     load_snapshot,
     mad,
     median,
     next_bench_path,
     render_comparison,
-    render_openmetrics,
     run_bench,
-    sanitize_metric_name,
     snapshot_from_profile,
     summarize,
-    validate_openmetrics,
     write_snapshot,
 )
 from repro.perf.__main__ import main as perf_main
 from repro.perf.fleet import SWEEPS, check_sweep, gate_points, render_sweep, run_sweep
 from repro.perf.bench import overhead_ratios
-from repro.perf.metrics_export import JsonlEmitter, OpenMetricsTextfileEmitter
 from repro.perf.snapshot import SCHEMA, fingerprints_match
-from repro.telemetry import CounterRegistry, TelemetrySession
+from repro.telemetry import (
+    CounterRegistry,
+    JsonlEmitter,
+    OpenMetricsTextfileEmitter,
+    TelemetrySession,
+    escape_label_value,
+    render_openmetrics,
+    sanitize_metric_name,
+    validate_openmetrics,
+)
+from repro.telemetry.__main__ import main as telemetry_main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "openmetrics_golden.txt"
 
@@ -817,12 +822,10 @@ class TestTelemetryReportDeltas:
         session.export_profile(path)
 
     def test_delta_table(self, mdp, cfg, tmp_path, capsys):
-        from repro.telemetry.report import main as report_main
-
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         self._profile(mdp, cfg, a, 100)
         self._profile(mdp, cfg, b, 200)
-        assert report_main([str(a), str(b)]) == 0
+        assert telemetry_main(["profile", str(a), str(b)]) == 0
         out = capsys.readouterr().out
         assert "telemetry profile delta" in out
         assert "counter(s) differ" in out
@@ -830,42 +833,32 @@ class TestTelemetryReportDeltas:
         assert "pipe0.stage.S1.active" in out  # longer run, bigger counter
 
     def test_identical_profiles_all_unchanged(self, mdp, cfg, tmp_path, capsys):
-        from repro.telemetry.report import main as report_main
-
         a = tmp_path / "a.json"
         self._profile(mdp, cfg, a, 50)
-        assert report_main([str(a), str(a)]) == 0
+        assert telemetry_main(["profile", str(a), str(a)]) == 0
         assert "0 counter(s) differ" in capsys.readouterr().out
 
     def test_missing_file_is_a_clear_error(self, tmp_path, capsys):
-        from repro.telemetry.report import main as report_main
-
         missing = tmp_path / "gone.profile.json"
-        assert report_main([str(missing)]) == 2
+        assert telemetry_main(["profile", str(missing)]) == 2
         err = capsys.readouterr().err
         assert "cannot read" in err and "gone.profile.json" in err
 
     def test_malformed_json_is_a_clear_error(self, tmp_path, capsys):
-        from repro.telemetry.report import main as report_main
-
         bad = tmp_path / "bad.profile.json"
         bad.write_text("{not json")
-        assert report_main([str(bad)]) == 2
+        assert telemetry_main(["profile", str(bad)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_second_file_errors_too(self, mdp, cfg, tmp_path, capsys):
-        from repro.telemetry.report import main as report_main
-
         a = tmp_path / "a.json"
         self._profile(mdp, cfg, a, 50)
-        assert report_main([str(a), str(tmp_path / "nope.json")]) == 2
+        assert telemetry_main(["profile", str(a), str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_delta_rejects_trace_files(self, mdp, cfg, tmp_path, capsys):
-        from repro.telemetry.report import main as report_main
-
         a, t = tmp_path / "a.json", tmp_path / "t.json"
         self._profile(mdp, cfg, a, 50)
         t.write_text(json.dumps({"traceEvents": []}))
-        assert report_main([str(a), str(t)]) == 2
+        assert telemetry_main(["profile", str(a), str(t)]) == 2
         assert "trace" in capsys.readouterr().err

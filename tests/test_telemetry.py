@@ -18,13 +18,14 @@ from repro.telemetry import (
     Counter,
     CounterRegistry,
     TelemetrySession,
-    TraceRecorder,
+    TraceEvent,
+    TraceRing,
     chrome_trace,
     current_session,
     flatten_profile,
+    validate_chrome_trace,
     verify_paper_invariants,
 )
-from repro.telemetry.trace import TraceEvent
 
 
 @pytest.fixture(scope="module")
@@ -86,26 +87,26 @@ class TestCounterRegistry:
 # ---------------------------------------------------------------------- #
 
 
-class TestTraceRecorder:
+class TestTraceRing:
     def test_truncation_keeps_the_tail(self):
-        rec = TraceRecorder(capacity=4)
+        rec = TraceRing(capacity=4)
         for c in range(10):
-            rec.record(c, "p", "S1", "issue", c)
+            rec.append(TraceEvent(c, "p", "S1", "issue", c))
         assert len(rec) == 4
         assert rec.total == 10
         assert rec.dropped == 6
-        assert [ev.cycle for ev in rec.events()] == [6, 7, 8, 9]
+        assert [ev.cycle for ev in rec.items()] == [6, 7, 8, 9]
 
     def test_events_chronological_before_wrap(self):
-        rec = TraceRecorder(capacity=8)
+        rec = TraceRing(capacity=8)
         for c in range(3):
-            rec.record(c, "p", "S4", "retire", c)
-        assert [ev.cycle for ev in rec.events()] == [0, 1, 2]
+            rec.append(TraceEvent(c, "p", "S4", "retire", c))
+        assert [ev.cycle for ev in rec.items()] == [0, 1, 2]
         assert rec.dropped == 0
 
     def test_clear(self):
-        rec = TraceRecorder(capacity=2)
-        rec.record(0, "p", "S1", "issue", 0)
+        rec = TraceRing(capacity=2)
+        rec.append(TraceEvent(0, "p", "S1", "issue", 0))
         rec.clear()
         assert len(rec) == 0 and rec.total == 0
 
@@ -136,10 +137,8 @@ class TestChromeTrace:
         assert ("thread_name", "S3") in names
         # Each pipeline gets one process_name + four thread_name records.
         assert len(meta) == 2 * 5
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            chrome_trace([], us_per_cycle=0)
+        # Pipeline traces pass the same validator as span traces.
+        assert validate_chrome_trace(doc) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -190,7 +189,7 @@ class TestTelemetrySession:
                 assert current_session() is inner
                 pipe = QTAccelPipeline(mdp, QTAccelConfig.qlearning(seed=3))
                 assert pipe._tel is not None
-                assert pipe._tel.recorder is inner.recorder
+                assert pipe._tel.ring is inner.ring
             assert current_session() is outer
         assert current_session() is None
 
@@ -206,7 +205,7 @@ class TestTelemetrySession:
         with TelemetrySession(trace=False) as s:
             pipe = QTAccelPipeline(mdp, QTAccelConfig.qlearning(seed=3))
             pipe.run(100)
-        assert s.recorder is None
+        assert s.ring is None
         assert s.registry.as_dict()["pipe0.stage.S4.active"] == 100
 
     def test_disabled_and_enabled_runs_agree(self, mdp):
@@ -298,6 +297,7 @@ class TestExports:
             if e.get("ph") == "X" and e["name"] == "retire"
         ]
         assert len(retires) == 20
+        assert validate_chrome_trace(doc) == []
 
     def test_trace_export_requires_recorder(self, tmp_path):
         s = TelemetrySession(trace=False)
@@ -395,7 +395,7 @@ class TestEngineWiring:
 
 class TestReportCli:
     def test_renders_profile_and_trace(self, mdp, tmp_path, capsys):
-        from repro.telemetry.report import main
+        from repro.telemetry.__main__ import main
 
         with TelemetrySession() as s:
             pipe = QTAccelPipeline(mdp, QTAccelConfig.qlearning(seed=3))
@@ -405,16 +405,27 @@ class TestReportCli:
         s.export_profile(prof)
         s.export_chrome_trace(trace)
 
-        assert main([str(prof), "--counters"]) == 0
+        assert main(["profile", str(prof), "--counters"]) == 0
         out = capsys.readouterr().out
         assert "telemetry profile" in out and "pipe0" in out
 
-        assert main([str(trace)]) == 0
+        assert main(["profile", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "chrome trace digest" in out and "retire" in out
 
     def test_unreadable_file(self, tmp_path, capsys):
-        from repro.telemetry.report import main
+        from repro.telemetry.__main__ import main
 
-        assert main([str(tmp_path / "missing.json")]) == 2
+        assert main(["profile", str(tmp_path / "missing.json")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload", [[1, 2], {"traceEvents": [{"ph": "X", "ts": 1}]}]
+    )
+    def test_non_profile_json(self, tmp_path, capsys, payload):
+        from repro.telemetry.__main__ import main
+
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(payload))
+        assert main(["profile", str(path)]) == 2
         assert "cannot read" in capsys.readouterr().err
