@@ -9,10 +9,12 @@ shared :class:`FleetBackend` surface):
   pipelines; 1-2 orders of magnitude faster);
 * ``"scalar"`` — :class:`ScalarFleetBackend`, a pure-Python loop of
   per-lane functional simulators (the reference baseline);
-* ``"sharded"`` — :class:`ShardedFleetBackend`, the vectorized program
-  partitioned into contiguous lane shards, one spawn-safe
-  ``multiprocessing`` worker per shard with all per-lane state in a
-  ``multiprocessing.shared_memory`` block (multi-core scaling with
+* ``"sharded"`` — :class:`ShardedFleetBackend`, the fleet partitioned
+  into contiguous lane shards, one spawn-safe ``multiprocessing``
+  worker per shard running the native kernel (the vectorized program
+  without a compiler), with all per-lane state in a
+  ``multiprocessing.shared_memory`` block that the parent's own copy of
+  the program serves lane ops from (multi-core scaling with
   checkpointed crash recovery; remember to ``close()`` it);
 * ``"native"`` — :class:`NativeFleetBackend`, the whole lock-step
   program fused into one C kernel pass per chunk of steps, compiled at

@@ -39,7 +39,9 @@ Everything else — storage layout, checkpointing, ``reset_lane`` and
 ``query_action``, lane state, q_float views — is inherited unchanged from
 the vectorized backend: the kernel mutates the very same arrays in place,
 so mixing fused calls with the inherited per-step surfaces stays
-bit-identical.
+bit-identical.  A sharded fleet runs this class both in its workers and
+in its parent, each bound to shared-memory rows, whenever the kernel
+builds.
 """
 
 from __future__ import annotations
@@ -513,7 +515,7 @@ class NativeFleetBackend(VectorizedFleetBackend):
         self._dummy_i64 = np.zeros(1, dtype=_I64)
         self._leap = self._bank_start._leap_table_np(DECIMATION)
         self._terminal_i64 = self._terminal_flat.astype(_I64)
-        self._rows = np.empty(5 * self.LANE_ROWS, dtype=_I64)
+        self._lane_rows = np.empty(5 * self.LANE_ROWS, dtype=_I64)
         coefs = self._rule_coefs
         qf = config.q_format
         self._consts = {
@@ -593,7 +595,7 @@ class NativeFleetBackend(VectorizedFleetBackend):
             dtype=_I64,
         )
         self._ctx_addr = self._ctx.ctypes.data
-        self._rows_addr = self._rows.ctypes.data
+        self._lane_rows_addr = self._lane_rows.ctypes.data
 
     def telemetry_snapshot(self) -> dict:
         snap = super().telemetry_snapshot()
@@ -634,9 +636,9 @@ class NativeFleetBackend(VectorizedFleetBackend):
         value the last row wrote (0 for an empty batch).
         """
         rows = lane_transitions(
-            self, k, state, action, reward, next_state, terminal, out=self._rows
+            self, k, state, action, reward, next_state, terminal, out=self._lane_rows
         )
-        addr = self._rows_addr if rows.base is self._rows else rows.ctypes.data
+        addr = self._lane_rows_addr if rows.base is self._lane_rows else rows.ctypes.data
         q_new = self._lane_fn(self._ctx_addr, int(k), rows.shape[1], addr)
         self._add_counts()
         return q_new

@@ -8,9 +8,7 @@ shard is a full fleet backend running in its own ``multiprocessing``
 worker, and every per-lane state array — Q/Qmax tables, the
 architectural latches, the three LFSR banks — lives in one
 ``multiprocessing.shared_memory`` block that both sides map as numpy
-views.  Checkpoints, telemetry reads and result gathers on the parent
-are therefore zero-copy: the parent *is* looking at the workers' live
-state (only ever read between epochs, when workers are idle).
+views.
 
 Each shard runs the fused C kernel
 (:class:`~repro.backends.native.NativeFleetBackend`) whenever a C
@@ -21,9 +19,15 @@ before spawning, so workers never compile it concurrently.  Without a
 compiler the shards run the same program in numpy
 (:class:`~repro.backends.vectorized.VectorizedFleetBackend`), the
 fallback.  ``telemetry_snapshot()["kernel"]`` reports which one ran
-(``"cc"`` or ``"numpy"``).  Both programs keep their state in the same
-attribute vocabulary, so one rebind loop maps either onto the shared
-rows.
+(``"cc"`` or ``"numpy"``).
+
+The parent runs the shard program too: one instance over the whole
+block, bound by the same :func:`_bind_rows` the workers use.  Its
+tables are the fleet's ``q``/``qmax`` views, and it serves the
+checkpoint surface and the per-lane serve ops (``apply_transition``
+retires a batch in the kernel's lane op), zero-copy and only between
+epochs, while the workers are idle.  So every lane of the fleet, from
+either side, runs one program.
 
 Bit-identity is preserved by construction: per-lane salts are a pure
 function of the lane index (``normalize_fleet`` defaults them to
@@ -39,7 +43,7 @@ worker stat deltas, refreshes the aggregate :class:`BatchStats`, takes
 a :class:`~repro.robustness.checkpoint.CheckpointStore` snapshot every
 ``checkpoint_interval`` epochs, and pulses the ambient telemetry
 session.  A worker that dies mid-epoch (crash, OOM-kill,
-:meth:`ShardedFleetBackend.kill_worker` in the CI smoke) is recovered
+:meth:`ShardedFleetBackend.kill_worker` in the tests) is recovered
 by the rollback-retry-quarantine discipline of
 :mod:`repro.robustness`: its shard's slice of shared memory is
 restored from the last checkpoint, a fresh worker adopts the restored
@@ -74,18 +78,14 @@ import time
 import weakref
 from contextlib import nullcontext
 from multiprocessing import shared_memory
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from ..core.config import QTAccelConfig
-from ..core.policies import egreedy_cut
 from ..envs.base import DenseMdp
 from .base import BatchStats, normalize_fleet
 from .vectorized import VectorizedFleetBackend
-
-_I64 = np.int64
 
 #: Reusable no-op context for the untraced path.
 _NOSPAN = nullcontext()
@@ -106,6 +106,10 @@ _LIVE_BACKENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 #: Signals :func:`install_signal_cleanup` has already hooked.
 _HOOKED_SIGNALS: dict[int, object] = {}
+
+#: The LFSR banks by checkpoint name: program attribute ``_bank_<name>``,
+#: shared-memory field ``lfsr_<name>``.
+_BANKS = ("start", "action", "policy")
 
 
 def _atexit_close(ref) -> None:
@@ -163,9 +167,9 @@ def install_signal_cleanup(signals: Sequence[int] = (_signal.SIGTERM, _signal.SI
 class _ShmLayout:
     """Byte layout of the shared lane-state block.
 
-    Every :class:`VectorizedFleetBackend` state array (keys matching its
-    ``_STATE_ARRAYS`` checkpoint vocabulary) plus the three LFSR banks,
-    all int64, concatenated; worker ``w`` touches only rows
+    The shard program's lane-state arrays (its ``_lane_fields``, the
+    checkpoint vocabulary ``_STATE_ARRAYS``) plus the three LFSR
+    registers, all int64, concatenated; worker ``w`` touches only rows
     ``[lo_w, hi_w)`` of each field, so shards never alias each other.
 
     The extra ``heartbeat`` field is liveness plumbing, not lane state
@@ -176,36 +180,10 @@ class _ShmLayout:
     livelock — heartbeat frozen).
     """
 
-    def __init__(self, k: int, s: int, a: int, config: QTAccelConfig | None = None):
-        fields: list[tuple[str, tuple]] = [
-            ("q", (k, s * a)),
-            ("qmax", (k, s)),
-            ("qmax_action", (k, s)),
-            ("arch_state", (k,)),
-            ("forwarded", (k,)),
-            ("prev_pair", (k,)),
-            ("prev_state", (k,)),
-            ("prev_q", (k,)),
-            ("prev_qmax", (k,)),
-            ("prev_qmax_action", (k,)),
-        ]
-        # Update-rule extra lane state (momentum iterate / Polyak target
-        # table + sync counter): same keys as the backend's per-instance
-        # _STATE_ARRAYS, inserted before the LFSR/heartbeat plumbing so
-        # rule-free layouts are byte-for-byte what they always were.
-        if config is not None:
-            kind = config.rule.kind
-            if kind == "momentum":
-                fields.append(("momentum", (k, s * a)))
-            elif kind == "target":
-                fields.append(("target", (k, s * a)))
-                fields.append(("target_count", (k,)))
-        fields += [
-            ("lfsr_start", (k,)),
-            ("lfsr_action", (k,)),
-            ("lfsr_policy", (k,)),
-            ("heartbeat", (k,)),
-        ]
+    def __init__(self, k: int, s: int, a: int, config: QTAccelConfig):
+        lane = VectorizedFleetBackend._lane_fields(config, s, a)
+        fields = [(key, (k, *shape)) for _, key, shape, _ in lane]
+        fields += [(f"lfsr_{b}", (k,)) for b in _BANKS] + [("heartbeat", (k,))]
         self.fields = tuple(fields)
         self.offsets: dict[str, int] = {}
         off = 0
@@ -267,6 +245,33 @@ def _beat_steps(kernel: str, lanes: int) -> int:
     return steps if kernel == "cc" else min(steps, _HEARTBEAT_NUMPY_STEPS)
 
 
+def _program_class(kernel: str) -> type:
+    """The shard program for ``kernel`` (a :func:`shard_kernel` result)."""
+    if kernel == "cc":
+        from .native import NativeFleetBackend
+
+        return NativeFleetBackend
+    return VectorizedFleetBackend
+
+
+def _bind_rows(program, views: dict, lo: int, hi: int, *, adopt: bool) -> None:
+    """Rebind ``program``'s lane-state arrays and LFSR registers onto rows
+    ``[lo, hi)`` of the shared ``views``, copying its own state in first
+    unless ``adopt`` (the block already holds the state to run from).
+
+    Workers bind their shard and the parent binds the whole block through
+    this one function; ``_rebind_flat_views`` then re-derives the flat
+    aliases (and, on the kernel, the table addresses it reads)."""
+    targets = [(program, attr, key) for attr, key in program._STATE_ARRAYS]
+    targets += [(getattr(program, f"_bank_{b}"), "states", f"lfsr_{b}") for b in _BANKS]
+    for owner, attr, key in targets:
+        view = views[key][lo:hi]
+        if not adopt:
+            view[...] = getattr(owner, attr)
+        setattr(owner, attr, view)
+    program._rebind_flat_views()
+
+
 def _cpu_ticks(pid: int) -> int:
     """CPU time a process has used, in clock ticks (0 where ``/proc`` is
     absent): a starting worker's progress before it can beat."""
@@ -278,15 +283,14 @@ def _cpu_ticks(pid: int) -> int:
         return 0
 
 
-def _shard_worker_main(conn, shm_name: str, dims: tuple, spec: dict) -> None:
+def _shard_worker_main(conn, shm_name: str, layout: _ShmLayout, spec: dict) -> None:
     """Entry point of one shard worker process.
 
-    Builds the shard's backend — :class:`~repro.backends.native.NativeFleetBackend`
-    when ``spec["kernel"]`` is ``"cc"``, else :class:`VectorizedFleetBackend`
-    — rebinds every state array (and the LFSR bank registers) onto the
-    shared-memory rows ``[lo, hi)`` — copying its freshly seeded state in
-    unless ``spec["adopt"]`` says the block already holds restored state
-    — and answers ``("ready", kernel)``.  It then serves ``("run", n)`` /
+    Builds the shard's program (:func:`_program_class` of
+    ``spec["kernel"]``), binds it to the shared-memory rows ``[lo, hi)``
+    with :func:`_bind_rows` — copying its freshly seeded state in unless
+    ``spec["adopt"]`` says the block already holds restored state — and
+    answers ``("ready", kernel)``.  It then serves ``("run", n)`` /
     ``("ping",)`` / ``("stop",)`` commands over the pipe, answering each
     run with the stat deltas it retired.  A run bumps the heartbeat every
     :func:`_beat_steps` steps, so on the kernel a 256-step epoch of a
@@ -306,40 +310,16 @@ def _shard_worker_main(conn, shm_name: str, dims: tuple, spec: dict) -> None:
     views = None
     try:
         try:
-            k, s, a = dims
-            views = _ShmLayout(k, s, a, spec["config"]).views(shm.buf)
+            views = layout.views(shm.buf)
             kernel = spec["kernel"]
-            if kernel == "cc":
-                from .native import NativeFleetBackend as program
-            else:
-                program = VectorizedFleetBackend
-            backend = program(
+            backend = _program_class(kernel)(
                 spec["mdps"],
                 spec["config"],
                 num_agents=spec["num_agents"],
                 salts=spec["salts"],
             )
             lo, hi = spec["lo"], spec["hi"]
-            adopt = spec["adopt"]
-            # The *instance* tuple: includes the update rule's extra
-            # tables (momentum/target), which must ride in shared memory
-            # like every other lane-state array.  The native backend's
-            # _rebind_flat_views also re-packs the kernel's table addresses.
-            for attr, key in backend._STATE_ARRAYS:
-                view = views[key][lo:hi]
-                if not adopt:
-                    view[...] = getattr(backend, attr)
-                setattr(backend, attr, view)
-            for key, bank in (
-                ("lfsr_start", backend._bank_start),
-                ("lfsr_action", backend._bank_action),
-                ("lfsr_policy", backend._bank_policy),
-            ):
-                view = views[key][lo:hi]
-                if not adopt:
-                    view[...] = bank.states
-                bank.states = view
-            backend._rebind_flat_views()
+            _bind_rows(backend, views, lo, hi, adopt=spec["adopt"])
         except Exception as exc:  # startup failure: report, don't hang
             conn.send(("error", repr(exc)))
             return
@@ -354,7 +334,7 @@ def _shard_worker_main(conn, shm_name: str, dims: tuple, spec: dict) -> None:
             cmd = msg[0]
             if cmd == "run":
                 if spec["debug_fail"]:
-                    os._exit(17)  # simulated crash (tests/CI smoke)
+                    os._exit(17)  # simulated crash (tests)
                 ctx = ctx_from_wire(msg[2]) if len(msg) > 2 else None
                 t0 = time.monotonic()
                 st = backend.stats
@@ -413,15 +393,25 @@ def _shard_worker_main(conn, shm_name: str, dims: tuple, spec: dict) -> None:
             pass
 
 
+def _program_table(name: str) -> property:
+    """A read-only attribute: the parent program's ``name`` table (its
+    shared-memory rows, or None when the update rule has no such table)."""
+    return property(lambda self: getattr(self._program, name))
+
+
 class ShardedFleetBackend:
     """``n_lanes`` learners sharded over ``num_workers`` processes,
     bit-identical per lane to :class:`VectorizedFleetBackend`.
 
-    The parent holds the shared-memory views under the same attribute
-    names as the single-process backends (``q``/``qmax``/... shaped
-    ``(K, S*A)`` / ``(K, S)``), so checkpoints, per-lane rollback,
-    ``q_float_all`` and the :class:`~repro.robustness.checkpoint.BatchLanes`
-    adapter all work unchanged and without copying.
+    The parent runs its own instance of the shard program, bound to the
+    whole shared-memory block: ``q``/``qmax``/``qmax_action``, the
+    checkpoint surface and the per-lane serve ops (``reset_lane``,
+    ``apply_transition``, ``query_action``) are that program's, so they
+    read and write the workers' rows zero-copy and retire serve rows in
+    the same code the shards run — only ever between sync epochs, while
+    the workers are idle.  A parent-side write makes the last epoch
+    checkpoint stale; the next :meth:`run` takes a fresh one first, so a
+    worker recovered during that run replays from after the write.
 
     Construction/teardown is explicit: workers and the shared block are
     released by :meth:`close` (also a context manager).  ``epoch`` sets
@@ -431,10 +421,6 @@ class ShardedFleetBackend:
 
     #: Name this engine attaches under in a telemetry session profile.
     _TELEMETRY_NAME = "sharded"
-
-    #: Rule-free default; construction replaces it with the instance
-    #: tuple (base + the configured rule's extra tables).
-    _STATE_ARRAYS = VectorizedFleetBackend._BASE_STATE_ARRAYS
 
     def __init__(
         self,
@@ -495,40 +481,12 @@ class ShardedFleetBackend:
         #: Patience per worker during :meth:`close` before SIGKILL.
         self.stop_timeout_s = stop_timeout_s
 
-        # Update-rule resolution (same per-instance _STATE_ARRAYS
-        # protocol as the vectorized backend: base pairs + the rule's
-        # extra tables, so checkpoints/restores/teardown all carry them).
-        self._bind_rule(config)
-        extra_state: list[tuple[str, str]] = []
-        self.momentum = None
-        self.target = None
-        self._target_count = None
-        if self._rule_kind == "momentum":
-            extra_state.append(("momentum", "momentum"))
-        elif self._rule_kind == "target":
-            extra_state.append(("target", "target"))
-            extra_state.append(("_target_count", "target_count"))
-        self._STATE_ARRAYS = (
-            VectorizedFleetBackend._BASE_STATE_ARRAYS + tuple(extra_state)
-        )
-
-        # The shared lane-state block, mapped under the standard fleet
-        # attribute names so the whole checkpoint surface is inherited.
+        # The shared lane-state block.
         self._layout = _ShmLayout(k, self.S, self.A, config)
         self._shm = shared_memory.SharedMemory(create=True, size=self._layout.nbytes)
         self._closed = False
-        views = self._layout.views(self._shm.buf)
-        self._views = views
-        for attr, key in self._STATE_ARRAYS:
-            setattr(self, attr, views[key])
-        self._bank_start = SimpleNamespace(states=views["lfsr_start"])
-        self._bank_action = SimpleNamespace(states=views["lfsr_action"])
-        self._bank_policy = SimpleNamespace(states=views["lfsr_policy"])
-
-        # Config scalars the borrowed per-lane serve surface needs
-        # (identical derivations to VectorizedFleetBackend.__init__).
-        self._egreedy_cut = _I64(egreedy_cut(config.epsilon, config.lfsr_width))
-        (self._alpha, _, self._one_minus_alpha, self._alpha_gamma) = config.coefficients()
+        self._program = None
+        self._views = self._layout.views(self._shm.buf)
 
         # Leak hygiene: close on interpreter exit even if the owner never
         # calls close() (the signal path is opt-in: install_signal_cleanup).
@@ -537,7 +495,6 @@ class ShardedFleetBackend:
         _LIVE_BACKENDS.add(self)
 
         self.stats = BatchStats(agents=k)
-        self._stats_base = {"episodes": 0, "exploits": 0, "explores": 0}
         self._worker_cum = [[0, 0, 0] for _ in range(self.num_workers)]
         #: Recovery bookkeeping (see ``_recover_worker``).
         self.restarts = 0
@@ -563,6 +520,12 @@ class ShardedFleetBackend:
         try:
             for w in range(self.num_workers):
                 self._spawn_worker(w, adopt=False)
+            # Built while the workers start up.  Lane ops never read env
+            # tables, so one world serves a heterogeneous fleet too.
+            self._program = _program_class(self.shard_kernel)(
+                self.mdps[0], config, num_agents=k, salts=self._salts, telemetry=False
+            )
+            _bind_rows(self._program, self._views, 0, k, adopt=True)
             for w in range(self.num_workers):
                 self._await_ready(w)
         except BaseException:
@@ -575,6 +538,8 @@ class ShardedFleetBackend:
             store = CheckpointStore(capacity=4)
         self.store = store
         self._last_ckpt: dict | None = None
+        #: A parent-side lane write since ``_last_ckpt`` was taken.
+        self._ckpt_stale = False
         self._epochs_done = 0
         if self.checkpoint_interval:
             self._take_checkpoint()
@@ -619,7 +584,7 @@ class ShardedFleetBackend:
             args=(
                 child_conn,
                 self._shm.name,
-                (self.K, self.S, self.A),
+                self._layout,
                 self._worker_spec(w, adopt=adopt),
             ),
             daemon=True,
@@ -697,7 +662,7 @@ class ShardedFleetBackend:
 
     def kill_worker(self, w: int) -> None:
         """Hard-kill shard worker ``w`` (SIGKILL) — the fault-injection
-        hook used by the recovery tests and the CI crash smoke.  The
+        hook used by the recovery tests and the chaos campaign.  The
         next epoch detects the dead pipe and triggers recovery.
         SIGKILL also terminates a SIGSTOP'd (hung) worker, so this is
         the watchdog's escalation primitive too."""
@@ -784,6 +749,8 @@ class ShardedFleetBackend:
         if samples_per_agent < 0:
             raise ValueError("samples_per_agent must be non-negative")
         session = self._session
+        if self._ckpt_stale and self.checkpoint_interval:
+            self._take_checkpoint()
         done = 0
         while done < samples_per_agent:
             n = min(self.epoch, samples_per_agent - done)
@@ -935,19 +902,20 @@ class ShardedFleetBackend:
     def _restore_shard(self, w: int, snap: dict) -> None:
         lo, hi = self._bounds[w], self._bounds[w + 1]
         state = snap["state"]
-        for attr, key in self._STATE_ARRAYS:
-            getattr(self, attr)[lo:hi] = state[key][lo:hi]
-        self._bank_start.states[lo:hi] = state["lfsr"]["start"][lo:hi]
-        self._bank_action.states[lo:hi] = state["lfsr"]["action"][lo:hi]
-        self._bank_policy.states[lo:hi] = state["lfsr"]["policy"][lo:hi]
+        views = self._views
+        for _, key in self._program._STATE_ARRAYS:
+            views[key][lo:hi] = state[key][lo:hi]
+        for b in _BANKS:
+            views[f"lfsr_{b}"][lo:hi] = state["lfsr"][b][lo:hi]
         self._worker_cum[w] = list(snap["worker_cum"][w])
 
     def _refresh_stats(self) -> None:
-        st = self.stats
-        base = self._stats_base
-        st.episodes = base["episodes"] + sum(c[0] for c in self._worker_cum)
-        st.exploits = base["exploits"] + sum(c[1] for c in self._worker_cum)
-        st.explores = base["explores"] + sum(c[2] for c in self._worker_cum)
+        """Aggregate stats: the program's own counts (parent-side lane ops
+        and loaded checkpoints) plus every worker's cumulative deltas."""
+        st, base = self.stats, self._program.stats
+        st.episodes = base.episodes + sum(c[0] for c in self._worker_cum)
+        st.exploits = base.exploits + sum(c[1] for c in self._worker_cum)
+        st.explores = base.explores + sum(c[2] for c in self._worker_cum)
 
     def _take_checkpoint(self) -> None:
         state = self.state_dict()
@@ -957,57 +925,64 @@ class ShardedFleetBackend:
             "worker_cum": [list(c) for c in self._worker_cum],
             "samples_per_agent": self.stats.samples_per_agent,
         }
+        self._ckpt_stale = False
 
     # ------------------------------------------------------------------ #
-    # Checkpoint / view surface — the shared-memory arrays sit under the
-    # standard attribute names, so the vectorized implementations apply
-    # verbatim (and read/write worker state zero-copy).
+    # Checkpoint, view and lane-op surface: the parent's program, bound to
+    # the whole block.  Call only between sync epochs (workers idle); a
+    # lane write marks the epoch checkpoint stale (see ``run``).
     # ------------------------------------------------------------------ #
 
-    state_dict = VectorizedFleetBackend.state_dict
-    lane_state = VectorizedFleetBackend.lane_state
-    load_lane_state = VectorizedFleetBackend.load_lane_state
-    _check_loaded = VectorizedFleetBackend._check_loaded
-    q_float = VectorizedFleetBackend.q_float
-    q_float_all = VectorizedFleetBackend.q_float_all
+    q = _program_table("q")
+    qmax = _program_table("qmax")
+    qmax_action = _program_table("qmax_action")
+    momentum = _program_table("momentum")
+    target = _program_table("target")
 
-    # The per-lane serve surface (lane leasing + external transitions)
-    # works on the same attribute vocabulary, so it is borrowed too.
-    # Contract: only call these while the workers are idle (between
-    # sync epochs) — the parent and a running worker must never write
-    # the same shard concurrently.
-    reset_lane = VectorizedFleetBackend.reset_lane
-    apply_transition = VectorizedFleetBackend.apply_transition
-    _retire_row = VectorizedFleetBackend._retire_row
-    query_action = VectorizedFleetBackend.query_action
-    _lane_draw = VectorizedFleetBackend._lane_draw
-    _bind_rule = VectorizedFleetBackend._bind_rule
-
-    def _count_external(self, exploited: bool, terminal: bool) -> None:
-        """External-transition stat deltas go into the worker-independent
-        base so ``_refresh_stats`` (which rebuilds from worker deltas)
-        cannot erase them."""
-        base = self._stats_base
-        if exploited:
-            base["exploits"] += 1
-        else:
-            base["explores"] += 1
-        if terminal:
-            base["episodes"] += 1
-        self._refresh_stats()
+    def state_dict(self) -> dict:
+        """Full fleet checkpoint, with the aggregate stats (the payload a
+        :class:`VectorizedFleetBackend` produces)."""
+        state = self._program.state_dict()
+        state["stats"] = vars(self.stats).copy()
+        return state
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a fleet checkpoint (from this backend *or* from a
         :class:`VectorizedFleetBackend` — the payloads are identical)."""
-        VectorizedFleetBackend.load_state_dict(self, state)
-        self._stats_base = {
-            "episodes": self.stats.episodes,
-            "exploits": self.stats.exploits,
-            "explores": self.stats.explores,
-        }
+        self._program.load_state_dict(state)
+        for key, value in state["stats"].items():
+            setattr(self.stats, key, value)
         self._worker_cum = [[0, 0, 0] for _ in range(self.num_workers)]
         if self.checkpoint_interval:
             self._take_checkpoint()
+
+    def lane_state(self, k: int, state: dict | None = None) -> dict:
+        return self._program.lane_state(k, state)
+
+    def load_lane_state(self, k: int, lane: dict) -> None:
+        self._ckpt_stale = True
+        self._program.load_lane_state(k, lane)
+
+    def q_float(self, agent: int) -> np.ndarray:
+        return self._program.q_float(agent)
+
+    def q_float_all(self) -> np.ndarray:
+        return self._program.q_float_all()
+
+    def reset_lane(self, k: int, salt: int) -> None:
+        self._ckpt_stale = True
+        self._program.reset_lane(k, salt)
+
+    def apply_transition(self, k: int, state, action, reward, next_state, terminal=False) -> int:
+        self._ckpt_stale = True
+        q_new = self._program.apply_transition(k, state, action, reward, next_state, terminal)
+        self._refresh_stats()
+        return q_new
+
+    def query_action(self, k: int, state: int, explore: bool = True) -> int:
+        if explore:  # draws the lane's policy LFSR
+            self._ckpt_stale = True
+        return self._program.query_action(k, state, explore)
 
     @property
     def n_lanes(self) -> int:
@@ -1090,9 +1065,7 @@ class ShardedFleetBackend:
                     pass
                 self._conns[w] = None
         # Drop every view of the buffer before closing the mapping.
-        for attr, _ in self._STATE_ARRAYS:
-            setattr(self, attr, None)
-        self._bank_start = self._bank_action = self._bank_policy = None
+        self._program = None
         self._views = None
         try:
             self._shm.unlink()

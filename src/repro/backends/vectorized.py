@@ -120,30 +120,20 @@ class VectorizedFleetBackend:
             self._env_start_off = lanes * n_starts
         self._n_starts = n_starts
 
-        # Learner state: per-lane Q / Qmax / argmax tables.
-        q_init = qf.quantize(config.q_init)
-        self.q = np.full((k, self.S * self.A), q_init, dtype=_I64)
-        self.qmax = np.full((k, self.S), q_init, dtype=_I64)
-        self.qmax_action = np.zeros((k, self.S), dtype=_I64)
-
-        # Update-rule extra lane state (see repro.algorithms): the
-        # momentum/target tables are full (K, S*A) checkpoint members,
-        # appended to the per-instance _STATE_ARRAYS tuple so every
-        # state_dict/lane_state/shared-memory path carries them.
-        self._bind_rule(config)
-        extra_state: list[tuple[str, str]] = []
-        self.momentum = None
-        self.target = None
-        self._target_count = None
-        if self._rule_kind == "momentum":
-            self.momentum = np.full((k, self.S * self.A), q_init, dtype=_I64)
-            extra_state.append(("momentum", "momentum"))
-        elif self._rule_kind == "target":
-            self.target = np.full((k, self.S * self.A), q_init, dtype=_I64)
-            self._target_count = np.zeros(k, dtype=_I64)
-            extra_state.append(("target", "target"))
-            extra_state.append(("_target_count", "target_count"))
-        self._STATE_ARRAYS = self._BASE_STATE_ARRAYS + tuple(extra_state)
+        # Learner state: per-lane Q / Qmax / argmax tables, the
+        # architectural latches (-1 sentinels = "none") and the update
+        # rule's extra tables (see repro.algorithms).
+        self.rule = config.rule
+        self._rule_kind = self.rule.kind
+        self._rule_coefs = self.rule.coefficients(config)
+        self._lane_init = self._lane_fields(config, self.S, self.A)
+        self.momentum = self.target = self._target_count = None
+        for attr, _, shape, init in self._lane_init:
+            arr = np.zeros((k, *shape), dtype=_I64)  # zero pages map lazily
+            if init:
+                arr.fill(init)
+            setattr(self, attr, arr)
+        self._STATE_ARRAYS = tuple((attr, key) for attr, key, _, _ in self._lane_init)
 
         # LFSR banks seeded exactly like PolicyDraws.from_config(salt=..).
         base_seed = config.seed + spec.salts * 0x9E37
@@ -154,16 +144,6 @@ class VectorizedFleetBackend:
         self._egreedy_cut = _I64(egreedy_cut(config.epsilon, w))
 
         (self._alpha, _, self._one_minus_alpha, self._alpha_gamma) = config.coefficients()
-
-        # Architectural lane state (-1 sentinels = "none").
-        self._arch_state = np.full(k, -1, dtype=_I64)
-        self._forwarded = np.full(k, -1, dtype=_I64)
-        # Lag view of the most recent write (SARSA restart reads).
-        self._prev_pair = np.full(k, -1, dtype=_I64)
-        self._prev_state = np.full(k, -1, dtype=_I64)
-        self._prev_q = np.zeros(k, dtype=_I64)
-        self._prev_qmax = np.zeros(k, dtype=_I64)
-        self._prev_qmax_action = np.zeros(k, dtype=_I64)
 
         self.stats = BatchStats(agents=k)
         self._rows = np.arange(k)
@@ -182,8 +162,7 @@ class VectorizedFleetBackend:
             # Rule-specific temporaries: the momentum/target gather and
             # the Polyak result (kept separate from _t_tmp, which stage 4
             # still owns for the Qmax merge).  Allocated unconditionally
-            # so every rule path stays allocation-free and _bind_rule can
-            # be re-run (checkpoint load) without reshaping scratch.
+            # so every rule path stays allocation-free.
             "_t_rule", "_t_rule2",
         ):
             setattr(self, name, np.empty(k, dtype=_I64))
@@ -203,7 +182,9 @@ class VectorizedFleetBackend:
 
         from ..telemetry.session import current_session
 
-        session = telemetry if telemetry is not None else current_session()
+        # None: the ambient session; False: none (the sharded parent's
+        # program, whose fleet attaches itself).
+        session = current_session() if telemetry is None else telemetry or None
         #: Session pulsed once per lock-step step for live-metrics export.
         self._session = session
         if session is not None:
@@ -244,23 +225,15 @@ class VectorizedFleetBackend:
             return np.bitwise_and(states, _I64(m - 1), out=out)
         return np.remainder(states, _I64(m), out=out)
 
-    def _bind_rule(self, config: QTAccelConfig) -> None:
-        """Resolve the configured update rule and its raw coefficients
-        (shared with the sharded backend, which borrows the lane-op
-        surface and needs the same scalars without a full construct)."""
-        self.rule = config.rule
-        self._rule_kind = self.rule.kind
-        self._rule_coefs = self.rule.coefficients(config)
-
     def _rebind_flat_views(self) -> None:
         """(Re)derive the flat 1-D aliases of q/qmax/qmax_action (and
         the rule extra tables when present).
 
-        Called at construction and again by the sharded backend after it
-        rebinds the table attributes to shared-memory slices — the flat
-        views used by the offset-indexed gathers in :meth:`step` must
-        always alias the current storage (contiguous row slices reshape
-        to views, never copies)."""
+        Called at construction and again whenever the table attributes
+        are rebound to new storage (the sharded backend's shared-memory
+        rows) — the flat views used by the offset-indexed gathers in
+        :meth:`step` must always alias the current storage (contiguous
+        row slices reshape to views, never copies)."""
         self._q_flat = self.q.reshape(-1)
         self._qmax_flat = self.qmax.reshape(-1)
         self._qmax_action_flat = self.qmax_action.reshape(-1)
@@ -476,14 +449,9 @@ class VectorizedFleetBackend:
     # ------------------------------------------------------------------ #
     # Lane leasing: the repro.serve external-transition surface
     #
-    # These methods are deliberately written against only the shared
-    # attribute vocabulary — the ``(K, ·)`` state arrays, the banks'
-    # ``.states`` registers and the config-derived scalars — so the
-    # sharded backend can borrow them verbatim (its parent maps the
-    # same arrays over shared memory and holds plain ``states`` views
-    # in place of full LfsrBank objects).  On a sharded fleet they must
-    # only run while the workers are idle (between sync epochs), which
-    # is exactly how the serve gateway drives them.
+    # Per-lane ops on the same state arrays ``step`` advances.  A sharded
+    # fleet's parent runs them on its own instance of the shard program,
+    # bound to the shared-memory rows, while the workers are idle.
     # ------------------------------------------------------------------ #
 
     def _lane_draw(self, bank, k: int) -> int:
@@ -495,16 +463,6 @@ class VectorizedFleetBackend:
         bank.states[k] = s
         return s
 
-    def _count_external(self, exploited: bool, terminal: bool) -> None:
-        """Stat deltas of one external transition (hook: the sharded
-        backend redirects these into its worker-independent base)."""
-        if exploited:
-            self.stats.exploits += 1
-        else:
-            self.stats.explores += 1
-        if terminal:
-            self.stats.episodes += 1
-
     def reset_lane(self, k: int, salt: int) -> None:
         """Re-initialise lane ``k`` to the pristine state of a lane
         seeded with ``salt`` — table fills, architectural latches and
@@ -514,23 +472,9 @@ class VectorizedFleetBackend:
         ``PolicyDraws.from_config(config, salt=salt)``)."""
         if not 0 <= k < self.K:
             raise IndexError(f"lane {k} out of range 0..{self.K - 1}")
+        for attr, _, _, init in self._lane_init:
+            getattr(self, attr)[k] = init
         cfg = self.config
-        q_init = cfg.q_format.quantize(cfg.q_init)
-        self.q[k, :] = q_init
-        self.qmax[k, :] = q_init
-        self.qmax_action[k, :] = 0
-        self._arch_state[k] = -1
-        self._forwarded[k] = -1
-        self._prev_pair[k] = -1
-        self._prev_state[k] = -1
-        self._prev_q[k] = 0
-        self._prev_qmax[k] = 0
-        self._prev_qmax_action[k] = 0
-        if self.momentum is not None:
-            self.momentum[k, :] = q_init
-        if self.target is not None:
-            self.target[k, :] = q_init
-            self._target_count[k] = 0
         base = cfg.seed + int(salt) * 0x9E37
         mask = (1 << cfg.lfsr_width) - 1
         for bank, off in (
@@ -669,8 +613,13 @@ class VectorizedFleetBackend:
                 self.target[k, :] = self.q[k, :]
                 self._target_count[k] = 0
 
-        self._count_external(exploited, terminal)
+        stats = self.stats
+        if exploited:
+            stats.exploits += 1
+        else:
+            stats.explores += 1
         if terminal:
+            stats.episodes += 1
             self._arch_state[k] = -1
             self._forwarded[k] = -1
         else:
@@ -702,25 +651,39 @@ class VectorizedFleetBackend:
     # Checkpointing (see repro.robustness.checkpoint)
     # ------------------------------------------------------------------ #
 
-    #: (array attribute, checkpoint key) pairs of the lane-vector state
-    #: common to every update rule.  Construction appends the rule's
-    #: extra tables (momentum / target [+ target_count]) and stores the
-    #: full tuple as the *instance* attribute ``_STATE_ARRAYS`` — always
-    #: iterate that one, never this class constant.
-    _BASE_STATE_ARRAYS = (
-        ("q", "q"),
-        ("qmax", "qmax"),
-        ("qmax_action", "qmax_action"),
-        ("_arch_state", "arch_state"),
-        ("_forwarded", "forwarded"),
-        ("_prev_pair", "prev_pair"),
-        ("_prev_state", "prev_state"),
-        ("_prev_q", "prev_q"),
-        ("_prev_qmax", "prev_qmax"),
-        ("_prev_qmax_action", "prev_qmax_action"),
-    )
-    #: Backwards-compatible default (plain rules have no extras).
-    _STATE_ARRAYS = _BASE_STATE_ARRAYS
+    @staticmethod
+    def _lane_fields(config: QTAccelConfig, S: int, A: int) -> tuple:
+        """``(attribute, checkpoint key, per-lane shape, initial value)``
+        of every lane-state array under ``config``: the tables and
+        latches of every update rule, then the rule's extra tables
+        (momentum iterate; Polyak target table + sync counter).
+
+        Construction allocates them (the ``(attribute, key)`` pairs
+        become the instance's ``_STATE_ARRAYS``, the checkpoint
+        vocabulary), :meth:`reset_lane` re-initialises one row of each,
+        and the sharded backend lays its shared-memory block out from
+        them."""
+        q_init = config.q_format.quantize(config.q_init)
+        fields = [
+            ("q", "q", (S * A,), q_init),
+            ("qmax", "qmax", (S,), q_init),
+            ("qmax_action", "qmax_action", (S,), 0),
+            ("_arch_state", "arch_state", (), -1),
+            ("_forwarded", "forwarded", (), -1),
+            # Lag view of the most recent write (SARSA restart reads).
+            ("_prev_pair", "prev_pair", (), -1),
+            ("_prev_state", "prev_state", (), -1),
+            ("_prev_q", "prev_q", (), 0),
+            ("_prev_qmax", "prev_qmax", (), 0),
+            ("_prev_qmax_action", "prev_qmax_action", (), 0),
+        ]
+        kind = config.rule.kind
+        if kind == "momentum":
+            fields.append(("momentum", "momentum", (S * A,), q_init))
+        elif kind == "target":
+            fields.append(("target", "target", (S * A,), q_init))
+            fields.append(("_target_count", "target_count", (), 0))
+        return tuple(fields)
 
     def state_dict(self) -> dict:
         """Full fleet checkpoint: every lane vector plus the three LFSR

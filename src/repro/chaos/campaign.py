@@ -246,7 +246,6 @@ def run_chaos_campaign(
         checkpoint_every=32,
         session_linger_s=5.0,
         audit_every=lanes,
-        failover="vectorized",
         tracer=tracer.fork("session") if tracer else None,
         recorder=recorder,
     )

@@ -11,10 +11,11 @@ array program lives in :mod:`repro.backends`:
   loop of per-lane functional simulators (the reference baseline the
   ``fleet_throughput`` bench measures the speedup against);
 * ``backend="sharded"`` —
-  :class:`~repro.backends.sharded.ShardedFleetBackend`: the vectorized
-  program partitioned into per-process lane shards over shared memory
-  (multi-core scaling; accepts ``num_workers=``/``epoch=`` and needs a
-  ``close()`` when done).
+  :class:`~repro.backends.sharded.ShardedFleetBackend`: the fleet
+  partitioned into per-process lane shards over shared memory, each
+  running the native kernel (the vectorized program without a
+  compiler) (multi-core scaling; accepts ``num_workers=``/``epoch=``
+  and needs a ``close()`` when done).
 
 Whatever the backend, lane ``k`` seeded with ``salts[k]`` produces
 exactly the trajectory of a scalar

@@ -10,10 +10,9 @@ The robustness layer of the reproduction (see ``docs/robustness.md``):
 * :mod:`~repro.robustness.guards` — :class:`DivergenceGuard` for the
   fixed-point datapath (saturation/stuck-at/NaN, raise/clamp/quarantine);
 * :mod:`~repro.robustness.checkpoint` — engine checkpoints,
-  :class:`FleetSupervisor` rollback/retry/quarantine, :class:`Watchdog`;
-* :mod:`~repro.robustness.sharded_smoke` — the CI worker-crash recovery
-  smoke for the process-parallel
-  :class:`~repro.backends.sharded.ShardedFleetBackend` (which embeds a
+  :class:`FleetSupervisor` rollback/retry/quarantine, :class:`Watchdog`
+  (the process-parallel
+  :class:`~repro.backends.sharded.ShardedFleetBackend` embeds a
   :class:`CheckpointStore` and applies the same rollback/retry/
   quarantine discipline to whole worker processes).
 

@@ -213,7 +213,6 @@ class SessionManager:
         store_capacity: int = 4,
         session_linger_s: float = 2.0,
         audit_every: int = 0,
-        failover: Optional[str] = "vectorized",
         telemetry=None,
         tracer=None,
         recorder=None,
@@ -235,9 +234,6 @@ class SessionManager:
         #: Audit (journal-replay scrub) this many sessions per
         #: maintenance pass; 0 disables the scrub.
         self.audit_every = audit_every
-        #: Backend engine to fail over to when the current backend
-        #: quarantines a shard (None disables failover).
-        self.failover_to = failover
         self._lock = threading.RLock()
         self._free: deque[int] = deque(range(self.K))
         self._sessions: dict[str, SessionRecord] = {}
@@ -803,10 +799,7 @@ class SessionManager:
                 ranges = check()
                 if ranges:
                     recovered = self.recover_lanes(ranges)
-            if (
-                self.failover_to is not None
-                and getattr(self.backend, "quarantined_workers", None)
-            ):
+            if getattr(self.backend, "quarantined_workers", None):
                 self.failover()
             if self.audit_every:
                 self.audit_sessions(self.audit_every)
@@ -815,8 +808,7 @@ class SessionManager:
     def failover(self) -> str:
         """Last-resort migration onto a fresh single-process backend.
 
-        Builds a new backend (``failover_to``, default the vectorized
-        numpy engine), copies every leased lane's state across through
+        Builds a new vectorized (numpy, single-process) backend, copies every leased lane's state across through
         the checkpoint surface (``lane_state``/``load_lane_state`` —
         the payloads are backend-independent, so the copy is bit-exact),
         swaps it in and closes the old backend.  Free lanes need no
@@ -834,7 +826,7 @@ class SessionManager:
             new = make_fleet_backend(
                 worlds,
                 old.config,
-                backend=self.failover_to or "vectorized",
+                backend="vectorized",
                 num_agents=num_agents,
                 salts=getattr(old, "_salts", None),
                 telemetry=self._telemetry,

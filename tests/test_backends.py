@@ -497,6 +497,20 @@ class TestShardedDispatchAndLifecycle:
             via_batch.close()
             via_engine.close()
 
+    def test_profiles_as_one_sharded_engine(self):
+        """The parent's own program does not attach to the ambient session."""
+        from repro.telemetry import TelemetrySession
+
+        with TelemetrySession(trace=False) as session:
+            cfg = QTAccelConfig.qlearning(seed=2)
+            with _sharded(GRID, cfg, num_agents=4, num_workers=2) as fleet:
+                fleet.run(8)
+                fleet.apply_transition(1, 2, 0, 0.5, 3)
+                engines = session.profile()["engines"]
+        assert list(engines) == ["sharded"]
+        assert engines["sharded"]["total_samples"] == 32
+        assert engines["sharded"]["workers"] == 2
+
     def test_close_is_idempotent_and_context_manager(self):
         cfg = QTAccelConfig.qlearning(seed=2)
         with _sharded(GRID, cfg, num_agents=2, num_workers=2) as fleet:

@@ -471,7 +471,7 @@ class TestFailover:
     def test_failover_is_bit_exact_and_traffic_continues(self):
         config = _config(seed=37)
         backend = _backend(engine="sharded", lanes=4, config=config)
-        manager = SessionManager(backend, checkpoint_every=8, failover="vectorized")
+        manager = SessionManager(backend, checkpoint_every=8)
         try:
             rng = random.Random(0xFA11)
             recs, streams = [], []

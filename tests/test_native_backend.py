@@ -30,6 +30,7 @@ from repro.core.config import QTAccelConfig
 from repro.core.engine import make_engine
 from repro.core.functional import FunctionalSimulator
 from repro.core.policies import PolicyDraws
+from repro.envs.gridworld import GridWorld
 from repro.envs.random_mdp import random_dense_mdp
 from repro.fixedpoint import FxpFormat
 from tests.test_update_rules import GOLDEN_MOMENTUM, GRID
@@ -236,6 +237,24 @@ def test_narrow_wrap_momentum_matches_vectorized():
 # ---------------------------------------------------------------------- #
 
 
+@pytest.mark.parametrize("qmax_mode", ["exact", "monotonic", "follow"])
+def test_guarded_native_matches_guarded_vectorized(qmax_mode):
+    """A guard sends native's run through the numpy step, on the same
+    state as its lane-op buffer."""
+    from repro.robustness import DivergenceGuard
+
+    cfg = QTAccelConfig.qlearning(seed=23, qmax_mode=qmax_mode)
+    fleets = []
+    for cls in (NativeFleetBackend, VectorizedFleetBackend):
+        fleet = cls(GRID, cfg, num_agents=8)
+        fleet.guard = DivergenceGuard("quarantine")
+        fleet.apply_transition(3, [1, 2, 3], [0, 1, 2], [0.5, 1.0, -0.5], [2, 3, 4], [0, 0, 1])
+        fleet.run(50)
+        fleets.append(fleet)
+    _assert_same_state(*fleets)
+    assert fleets[0].guard.quarantined_lanes == fleets[1].guard.quarantined_lanes
+
+
 class TestCheckpoint:
     def test_state_dict_replays_exactly(self):
         cfg = QTAccelConfig.target_q(seed=13, target_sync_period=32)
@@ -373,6 +392,84 @@ class TestShardedKernel:
             assert fleet.hangs == 1 and fleet.restarts >= 1
             assert not fleet.quarantined_workers
             _assert_same_state(fleet, vec)
+
+    @pytest.mark.parametrize(
+        "cfg, seed",
+        [
+            (QTAccelConfig.qlearning(seed=31, qmax_mode="follow"), 3),
+            (QTAccelConfig.sarsa(seed=41), 4),
+            (QTAccelConfig.target_q(seed=47, target_sync_period=9), 5),
+        ],
+    )
+    def test_lane_ops_interleaved_with_runs_and_faults(self, cfg, seed):
+        """Parent-side lane ops between epochs, then worker faults: the
+        recovered shard must replay from after the lane ops."""
+        lanes = 6
+        _drive_interleaved(GRID, cfg, lanes, _interleaved_ops(seed, lanes, GRID))
+
+    def test_lane_op_then_kill_keeps_the_lane_op(self):
+        """Fixed case: a lane op, a worker kill, a run."""
+        world = GridWorld.empty(4, 4).to_mdp()
+        ops = [
+            ("run", 8),
+            ("apply_transition", 0, [1, 2, 3], [0, 1, 2], [0.5, 1.0, -0.5], [2, 3, 4], [0, 0, 0]),
+            ("kill_worker", 0),
+            ("run", 8),
+        ]
+        _drive_interleaved(world, QTAccelConfig.qlearning(seed=5), 4, ops, epoch=256)
+
+
+def _interleaved_ops(seed: int, lanes: int, world) -> list:
+    """A seeded op stream: each round a learn batch, an act, a lane reset
+    or copy, sometimes a fault on the learn lane's shard (2 workers), and
+    a run of a few epochs."""
+    rng = np.random.default_rng(seed)
+    S, A = world.num_states, world.num_actions
+    ops = []
+    for i, fault in enumerate(("kill_worker", "hang_worker", None, "kill_worker", None)):
+        k, n = int(rng.integers(lanes)), int(rng.integers(1, 6))
+        ops.append((
+            "apply_transition", k,
+            rng.integers(S, size=n).tolist(), rng.integers(A, size=n).tolist(),
+            rng.uniform(-1, 1, n).round(3).tolist(), rng.integers(S, size=n).tolist(),
+            (rng.random(n) < 0.2).tolist(),
+        ))
+        ops.append(("query_action", int(rng.integers(lanes)), int(rng.integers(S)), i % 2 == 0))
+        if i % 3 == 0:
+            ops.append(("reset_lane", int(rng.integers(lanes)), int(rng.integers(100, 200))))
+        elif i % 3 == 1:
+            ops.append(("copy_lane", int(rng.integers(lanes)), int(rng.integers(lanes))))
+        if fault is not None:
+            ops.append((fault, k * 2 // lanes))
+        ops.append(("run", int(rng.integers(1, 12))))
+    return ops
+
+
+def _drive_interleaved(world, cfg, lanes: int, ops: list, **shard_kw) -> None:
+    """Feed ``ops`` to a 2-worker C-kernel sharded fleet and to one native
+    fleet (faults to the sharded one only); after every run, every lane's
+    state and the stats must agree."""
+    ref = NativeFleetBackend(world, cfg, num_agents=lanes)
+    shard_kw.setdefault("epoch", 4)
+    with _shards(world, cfg, num_agents=lanes, hang_timeout_s=0.5, **shard_kw) as fleet:
+        assert fleet.shard_kernel == "cc"
+        for name, *args in ops:
+            if name in ("kill_worker", "hang_worker"):
+                getattr(fleet, name)(*args)
+            elif name == "copy_lane":
+                src, dst = args
+                lane = ref.lane_state(src)
+                fleet.load_lane_state(dst, lane)
+                ref.load_lane_state(dst, lane)
+            elif name == "run":
+                fleet.run(*args)
+                ref.run(*args)
+                for k in range(lanes):
+                    _assert_equal_tree(fleet.lane_state(k), ref.lane_state(k), f"lane {k}")
+                assert fleet.stats.as_dict() == ref.stats.as_dict()
+            else:
+                assert getattr(fleet, name)(*args) == getattr(ref, name)(*args), name
+        assert fleet.restarts >= 1 and not fleet.quarantined_workers
 
 
 # ---------------------------------------------------------------------- #

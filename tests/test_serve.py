@@ -431,7 +431,7 @@ class TestRecoveryProperties:
         the identical draw stream."""
         config = _config(seed=6)
         backend = _backend(engine="sharded", lanes=2, config=config)
-        manager = SessionManager(backend, checkpoint_every=16, failover="vectorized")
+        manager = SessionManager(backend, checkpoint_every=16)
         try:
             rng = random.Random(seed)
             rec = manager.open()
