@@ -17,6 +17,7 @@ every benchmark's stats + ``extra_info`` are folded into a
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -45,6 +46,26 @@ def pytest_sessionfinish(session, exitstatus):
     out_dir = os.environ.get("QTACCEL_BENCH_DIR", "benchmarks/_artifacts")
     path = write_snapshot(snapshot, next_bench_path(out_dir))
     print(f"\n[bench snapshot: {path}]")
+
+
+def mean_seconds(benchmark, fn, *args, **pedantic):
+    """Run ``fn(*args)`` under the ``benchmark`` fixture (through
+    ``benchmark.pedantic`` when ``pedantic`` options are given) and return
+    ``(result, mean seconds per call)``.
+
+    With ``--benchmark-disable`` the fixture calls ``fn`` once and keeps
+    no stats (``benchmark.stats`` is None), so that one call is timed
+    with ``time.perf_counter`` instead.
+    """
+    start = time.perf_counter()
+    if pedantic:
+        result = benchmark.pedantic(fn, args=args, **pedantic)
+    else:
+        result = benchmark(fn, *args)
+    elapsed = time.perf_counter() - start
+    if benchmark.stats is None:
+        return result, elapsed
+    return result, benchmark.stats.stats.mean
 
 
 def emit_once(exp_id: str, text: str) -> None:

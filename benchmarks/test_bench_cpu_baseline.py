@@ -15,7 +15,7 @@ from repro.experiments import run_experiment
 from repro.experiments.cases import grid_side
 from repro.reference.qlearning import DictQLearning
 
-from .conftest import emit_once
+from .conftest import emit_once, mean_seconds
 
 SAMPLES = 30_000
 
@@ -27,9 +27,8 @@ def test_dict_qlearning_cpu(benchmark, num_states, num_actions):
     learner = DictQLearning(mdp, seed=1)
     learner.run(2_000)  # warm the dict
 
-    benchmark.pedantic(learner.run, args=(SAMPLES,), rounds=3, iterations=1)
-    # samples/s from the benchmark's own stats
-    sps = SAMPLES / benchmark.stats.stats.mean
+    _, mean = mean_seconds(benchmark, learner.run, SAMPLES, rounds=3, iterations=1)
+    sps = SAMPLES / mean
     fpga = throughput(
         estimate_resources(num_states, num_actions, QTAccelConfig.qlearning())
     ).samples_per_sec

@@ -7,7 +7,6 @@ from .rules import (
     QLearningRule,
     RuleCoefficients,
     RuleCost,
-    RuleKernel,
     SarsaRule,
     TargetQLearningRule,
     UnknownUpdateRuleError,
@@ -27,7 +26,6 @@ __all__ = [
     "QLearningRule",
     "RuleCoefficients",
     "RuleCost",
-    "RuleKernel",
     "SarsaRule",
     "TargetQLearningRule",
     "UnknownUpdateRuleError",

@@ -20,9 +20,12 @@ An :class:`UpdateRule` declares everything an engine needs to host the
 rule: the default behaviour/update policy pair, the extra per-lane table
 state (by name — the tables themselves live in
 :class:`~repro.core.tables.AcceleratorTables` so ECC/checkpoint/fault
-machinery applies automatically), the fixed-point stage-3 compute, the
-derived raw coefficients, and a device-model cost descriptor
-(:class:`RuleCost`) consumed by :mod:`repro.device.resources`.
+machinery applies automatically), the derived raw coefficients, and a
+device-model cost descriptor (:class:`RuleCost`) consumed by
+:mod:`repro.device.resources`.  The stage-3 arithmetic itself is not a
+rule method: every engine (the functional simulator, the cycle pipeline
+and the compiled fleet kernel) branches on ``rule.kind``, the one key
+that selects a rule's datapath.
 
 Rules are looked up by name through a module-level registry
 (:func:`get_rule`); ``QTAccelConfig(update_rule=...)`` resolves through
@@ -35,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fixedpoint import ops
-from ..fixedpoint.format import FxpFormat
 
 #: Registered rule kinds; engines branch on ``rule.kind`` to keep the
 #: plain rules' hot paths free of new-rule dispatch.
@@ -69,34 +71,6 @@ class RuleCost:
 
     extra_pair_tables: int = 0
     extra_dsps: int = 0
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class RuleKernel:
-    """Native-kernel lowering descriptor of one rule — the device-cost
-    descriptor pattern (:class:`RuleCost`) applied to software lowering.
-
-    A compiled fleet kernel (:mod:`repro.backends.native`) fuses the
-    whole per-step program into one pass and cannot call back into
-    Python per sample, so each rule declares up front how its stage-3 /
-    stage-4 arithmetic lowers: ``kernel_id`` is the integer the fused
-    kernel branches on, and the flags name the extra operand streams the
-    lowering must wire (so a backend can reject an unlowered rule with a
-    typed :class:`UnsupportedRuleError` at construction, never mid-run).
-    """
-
-    #: Integer dispatch tag inside the fused kernel (0 = plain
-    #: 3-product datapath, 1 = momentum 4-product, 2 = target-bootstrap
-    #: + Polyak write-back).  New rules without a lowering keep an id
-    #: outside the compiled set and are rejected at construction.
-    kernel_id: int = 0
-    #: Stage 3 streams a second per-pair operand (momentum/target read).
-    reads_extra_table: bool = False
-    #: Stage 4 writes the extra table (momentum iterate / Polyak RMW).
-    writes_extra_table: bool = False
-    #: Stage 4 performs the two-product Polyak read-modify-write.
-    polyak_writeback: bool = False
     note: str = ""
 
 
@@ -145,9 +119,6 @@ class UpdateRule:
     has_sync_counter: bool = False
     #: Device-model increment (see :class:`RuleCost`).
     device_cost: RuleCost = RuleCost()
-    #: Native-kernel lowering (see :class:`RuleKernel`).  The default
-    #: lowers as the plain 3-product datapath.
-    kernel: RuleKernel = RuleKernel()
 
     # ------------------------------------------------------------------ #
     # Hooks
@@ -163,32 +134,6 @@ class UpdateRule:
             config.alpha, config.gamma, config.coef_format
         )
         return RuleCoefficients(a, g, oma, ag)
-
-    def stage3(
-        self,
-        q_sa: int,
-        r: int,
-        q_next: int,
-        extra: int,
-        coefs: RuleCoefficients,
-        coef_fmt: FxpFormat,
-        q_fmt: FxpFormat,
-    ) -> int:
-        """Scalar stage-3 compute: raw new Q-value for the pair.
-
-        ``extra`` is the rule's extra per-pair operand (the momentum
-        table read for ``kind == "momentum"``; unused otherwise).
-        """
-        return ops.q_update(
-            q_sa,
-            r,
-            q_next,
-            alpha=coefs.alpha,
-            one_minus_alpha=coefs.one_minus_alpha,
-            alpha_gamma=coefs.alpha_gamma,
-            coef_fmt=coef_fmt,
-            q_fmt=q_fmt,
-        )
 
     def state_dict(self, tables, sync_count: int = 0) -> dict:
         """Rule-owned state beyond the core tables: the extra tables'
@@ -226,7 +171,6 @@ class QLearningRule(UpdateRule):
     update_policy = "greedy"
     aliases = ("q", "q_learning", "greedy")
     device_cost = RuleCost(note="paper baseline")
-    kernel = RuleKernel(kernel_id=0, note="plain 3-product datapath")
 
 
 class SarsaRule(UpdateRule):
@@ -239,7 +183,6 @@ class SarsaRule(UpdateRule):
     update_policy = "egreedy"
     aliases = ("egreedy",)
     device_cost = RuleCost(note="paper baseline")
-    kernel = RuleKernel(kernel_id=0, note="plain 3-product datapath")
 
 
 class MomentumQLearningRule(UpdateRule):
@@ -265,12 +208,6 @@ class MomentumQLearningRule(UpdateRule):
         extra_dsps=1,
         note="momentum table + b*(Q - M) product",
     )
-    kernel = RuleKernel(
-        kernel_id=1,
-        reads_extra_table=True,
-        writes_extra_table=True,
-        note="momentum operand + pre-update iterate write",
-    )
 
     def validate(self, config) -> None:
         if config.update_policy != "greedy":
@@ -291,29 +228,6 @@ class MomentumQLearningRule(UpdateRule):
         )
         beta = int(config.coef_format.quantize(config.momentum_beta))
         return RuleCoefficients(a, g, oma, ag, beta=beta)
-
-    def stage3(
-        self,
-        q_sa: int,
-        r: int,
-        q_next: int,
-        extra: int,
-        coefs: RuleCoefficients,
-        coef_fmt: FxpFormat,
-        q_fmt: FxpFormat,
-    ) -> int:
-        return ops.q_update_momentum(
-            q_sa,
-            r,
-            q_next,
-            extra,
-            alpha=coefs.alpha,
-            one_minus_alpha=coefs.one_minus_alpha,
-            alpha_gamma=coefs.alpha_gamma,
-            beta=coefs.beta,
-            coef_fmt=coef_fmt,
-            q_fmt=q_fmt,
-        )
 
 
 class TargetQLearningRule(UpdateRule):
@@ -344,13 +258,6 @@ class TargetQLearningRule(UpdateRule):
         extra_pair_tables=1,
         extra_dsps=2,
         note="target table + Polyak RMW products",
-    )
-    kernel = RuleKernel(
-        kernel_id=2,
-        reads_extra_table=True,
-        writes_extra_table=True,
-        polyak_writeback=True,
-        note="target bootstrap + Polyak RMW",
     )
 
     def validate(self, config) -> None:

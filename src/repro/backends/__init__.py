@@ -32,7 +32,6 @@ from .base import (
     BatchStats,
     FleetBackend,
     FleetSpec,
-    FleetStats,
     fleet_backend_availability,
     fleet_backends,
     lane_transitions,
@@ -53,7 +52,6 @@ __all__ = [
     "BatchStats",
     "FleetBackend",
     "FleetSpec",
-    "FleetStats",
     "NativeBackendUnavailableError",
     "NativeFleetBackend",
     "ScalarFleetBackend",

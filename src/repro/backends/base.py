@@ -2,21 +2,25 @@
 
 A *fleet backend* runs ``n_lanes`` independent QTAccel learners — one
 Q/Qmax table set, one LFSR triple and one architectural latch set per
-lane — behind one lane-oriented interface.  Three implementations exist:
+lane — behind one lane-oriented interface.  Four implementations exist:
 
 * :class:`~repro.backends.vectorized.VectorizedFleetBackend` — the
-  array program: every per-sample quantity is a length-``n_lanes``
-  numpy vector and the 4-multiplier update rule is applied lane-parallel
-  per lock-step step (the software analogue of the paper's Fig. 9
+  numpy array program: every per-sample quantity is a length-``n_lanes``
+  vector and the 4-multiplier update rule is applied lane-parallel per
+  lock-step step (the software analogue of the paper's Fig. 9
   replicated pipelines);
+* :class:`~repro.backends.native.NativeFleetBackend` — the same program
+  fused into one compiled C pass (lane-outer, step-inner) over the
+  vectorized backend's arrays, for ``run`` and batched lane ops;
 * :class:`~repro.backends.scalar.ScalarFleetBackend` — a pure-Python
   loop of per-lane :class:`~repro.core.functional.FunctionalSimulator`
   instances (Da Silva-style "no batching"), kept as the reference
   baseline the throughput benches compare against;
-* :class:`~repro.backends.sharded.ShardedFleetBackend` — the
-  vectorized array program partitioned into contiguous lane shards,
-  one ``multiprocessing`` worker per shard over shared-memory state
-  (the multi-core analogue of replicating whole accelerators).
+* :class:`~repro.backends.sharded.ShardedFleetBackend` — contiguous lane
+  shards over shared-memory state, one ``multiprocessing`` worker per
+  shard (the multi-core analogue of replicating whole accelerators);
+  workers and parent run the native program when a C compiler builds
+  it, else the vectorized one.
 
 All are **bit-identical per lane** to a scalar functional simulator
 seeded with the same salt — draws, lag semantics, Qmax rules and
@@ -39,6 +43,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from ..core.runstats import RunStatsContract
+from ..core.tables import is_index
 from ..envs.base import DenseMdp
 from ..fixedpoint import ops
 
@@ -60,11 +65,6 @@ class BatchStats(RunStatsContract):
     def samples(self) -> int:
         """Total updates retired across the fleet (the shared contract)."""
         return self.agents * self.samples_per_agent
-
-
-#: Alias under the fleet vocabulary; ``BatchStats`` stays the canonical
-#: name (checkpoints serialise its field dict).
-FleetStats = BatchStats
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,15 @@ def normalize_fleet(
 _U64 = np.uint64
 
 
-def _is_index(v) -> bool:
-    """An integer scalar that is not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+def check_query(fleet, k, state) -> None:
+    """Validate the lane and state of a ``query_action`` before it draws:
+    :class:`IndexError` for a lane outside ``0..K-1`` and
+    :class:`ValueError` for a state outside ``[0, S)``, non-integers and
+    bools included, so a bad query consumes no policy word."""
+    if not is_index(k) or not 0 <= k < fleet.K:
+        raise IndexError(f"lane {k!r} out of range 0..{fleet.K - 1}")
+    if not is_index(state) or not 0 <= state < fleet.S:
+        raise ValueError(f"state {state!r} out of range [0, {fleet.S})")
 
 
 @functools.lru_cache(maxsize=16)
@@ -184,7 +190,7 @@ def lane_transitions(
         rows = _rows_in(out, 1)
         rows[:, 0] = (state, next_state, action, terminal, fleet.config.q_format.quantize(reward))
         return rows
-    if not _is_index(k) or not 0 <= k < fleet.K:
+    if not is_index(k) or not 0 <= k < fleet.K:
         raise ValueError(f"lane {k!r} out of range 0..{fleet.K - 1}")
     names = ("state", "next_state", "action", "terminal", "reward")
     cols = [np.asarray(x) for x in (state, next_state, action, terminal)]

@@ -5,8 +5,8 @@ lock-step sample as ~40 numpy array operations over ~10 temporaries —
 every intermediate crosses memory once per step, which BENCH_1/2 showed
 is the software ceiling.  This module lowers that exact program (env
 step, epsilon-greedy argmax with LFSR draws, and the stage-3 fixed-point
-update of every registered :class:`~repro.algorithms.UpdateRule` with a
-compiled lowering) into **one fused pass**, mirroring how the paper's
+update of every registered :class:`~repro.algorithms.UpdateRule`) into
+**one fused pass**, mirroring how the paper's
 4-stage pipeline fuses read/bootstrap/update/write-back into a single
 hardware traversal:
 
@@ -17,10 +17,9 @@ hardware traversal:
 * the fixed-point arithmetic is integer ``int64`` raw math replicating
   :mod:`repro.fixedpoint.ops` bit for bit (wide accumulate, one
   ``rshift_round`` in either rounding mode, one saturate/wrap clamp);
-* which stage-3/stage-4 arithmetic a rule needs is taken from its
-  :class:`~repro.algorithms.RuleKernel` lowering descriptor — rules
-  without a compiled lowering are rejected with a typed
-  :class:`~repro.algorithms.UnsupportedRuleError` at construction.
+* which stage-3/stage-4 arithmetic runs is chosen by the rule's
+  ``kind`` (one C tag per entry of :data:`~repro.algorithms.RULE_KINDS`,
+  which is every kind a rule can register with).
 
 The kernel is one C source, compiled on first use with the system
 compiler (``$CC``, else ``cc``/``gcc``/``clang``) into a source-hash-cached
@@ -66,9 +65,8 @@ _I64 = np.int64
 #: Qmax-rule dispatch tags inside the fused kernel.
 _QMAX_MODES = {"exact": 0, "monotonic": 1, "follow": 2}
 
-#: RuleKernel.kernel_id values this kernel lowers, and the rule *kind*
-#: whose extra-table allocation each id assumes.
-_KERNEL_ID_KINDS = {0: ("plain",), 1: ("momentum",), 2: ("target",)}
+#: Update-rule dispatch tags inside the fused kernel, one per rule kind.
+_RULE_KINDS = {"plain": 0, "momentum": 1, "target": 2}
 
 
 class NativeBackendUnavailableError(ImportError):
@@ -105,14 +103,6 @@ def native_available() -> tuple[bool, str]:
     if compiler is None:
         return False, _NO_COMPILER
     return True, f"C compiler {compiler}"
-
-
-def lowers_rule(rule) -> bool:
-    """Whether the fused kernel has a lowering for update ``rule``: its
-    :class:`~repro.algorithms.RuleKernel` id, on the rule kind whose extra
-    tables that id assumes."""
-    kinds = _KERNEL_ID_KINDS.get(rule.kernel.kernel_id)
-    return kinds is not None and rule.kind in kinds
 
 
 # ---------------------------------------------------------------------- #
@@ -459,10 +449,7 @@ class NativeFleetBackend(VectorizedFleetBackend):
     compiled pass per chunk of steps (lane-outer, step-inner).
 
     Construction raises :class:`NativeBackendUnavailableError` when no
-    C compiler exists and
-    :class:`~repro.algorithms.UnsupportedRuleError` when the configured
-    update rule declares no compiled lowering
-    (:class:`~repro.algorithms.RuleKernel`).  ``run()`` and
+    C compiler exists.  ``run()`` and
     ``apply_transition`` are the kernel's two entry points; every
     inherited surface — checkpoints, ``reset_lane``, ``query_action``,
     ``q_float`` — operates on the same arrays the kernel mutates, so
@@ -497,16 +484,6 @@ class NativeFleetBackend(VectorizedFleetBackend):
         super().__init__(
             mdps, config, num_agents=num_agents, salts=salts, telemetry=telemetry
         )
-        rk = self.rule.kernel
-        if not lowers_rule(self.rule):
-            from ..algorithms import UnsupportedRuleError
-
-            raise UnsupportedRuleError(
-                f"update_rule={self.rule.name!r} (kind={self._rule_kind!r}) "
-                f"declares kernel_id={rk.kernel_id}, which the native fused "
-                f"kernel does not lower; use the vectorized backend or add "
-                f"a RuleKernel lowering"
-            )
         self._steps_fn, self._lane_fn = _get_kernel()
 
         # Kernel-side constants and buffers.  The terminal flags become
@@ -530,7 +507,7 @@ class NativeFleetBackend(VectorizedFleetBackend):
             "behavior_random": int(config.behavior_policy == "random"),
             "update_greedy": int(config.update_policy == "greedy"),
             "on_policy": int(config.is_on_policy),
-            "rule_kind": int(rk.kernel_id),
+            "rule_kind": _RULE_KINDS[self._rule_kind],
             "qmax_mode": _QMAX_MODES[config.qmax_mode],
             "one_minus_alpha": int(self._one_minus_alpha),
             "alpha": int(self._alpha),

@@ -27,7 +27,7 @@ from ..core.functional import FunctionalSimulator
 from ..core.policies import PolicyDraws
 from ..envs.base import DenseMdp
 from ..fixedpoint import ops
-from .base import BatchStats, lane_transitions, normalize_fleet
+from .base import BatchStats, check_query, lane_transitions, normalize_fleet
 
 
 class ScalarFleetBackend:
@@ -179,6 +179,7 @@ class ScalarFleetBackend:
 
     def query_action(self, k: int, state: int, explore: bool = True) -> int:
         """Recommend an action for lane ``k`` at ``state`` (no update)."""
+        check_query(self, k, state)
         return self.sims[k].query_action(state, explore)
 
     # ------------------------------------------------------------------ #

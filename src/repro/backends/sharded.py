@@ -12,8 +12,8 @@ views.
 
 Each shard runs the fused C kernel
 (:class:`~repro.backends.native.NativeFleetBackend`) whenever a C
-compiler can build it and the update rule has a compiled lowering —
-the rule that picks the gateway's default engine.  The parent decides
+compiler can build it — the rule that picks the gateway's default
+engine.  The parent decides
 once, at construction (:func:`shard_kernel`), and loads the kernel
 before spawning, so workers never compile it concurrently.  Without a
 compiler the shards run the same program in numpy
@@ -220,17 +220,17 @@ def _attach_shm(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
-def shard_kernel(config: QTAccelConfig) -> str:
-    """The program shard workers run for ``config``: ``"cc"`` (the fused
-    C kernel) when a C compiler can build it and it lowers the update
-    rule, else ``"numpy"`` (the vectorized program).
+def shard_kernel() -> str:
+    """The program shard workers run: ``"cc"`` (the fused C kernel) when
+    a C compiler can build it, else ``"numpy"`` (the vectorized
+    program).
 
     Choosing ``"cc"`` builds and loads the kernel in this process, so
     the workers spawned afterwards find it compiled.
     """
-    from .native import NativeBackendUnavailableError, _get_kernel, lowers_rule, native_available
+    from .native import NativeBackendUnavailableError, _get_kernel, native_available
 
-    if not (native_available()[0] and lowers_rule(config.rule)):
+    if not native_available()[0]:
         return "numpy"
     try:
         _get_kernel()
@@ -514,7 +514,7 @@ class ShardedFleetBackend:
         #: The program every shard runs: ``"cc"`` (the fused C kernel) or
         #: ``"numpy"`` (the vectorized fallback), decided here once and
         #: confirmed by each worker's ``ready`` reply.
-        self.shard_kernel = shard_kernel(config)
+        self.shard_kernel = shard_kernel()
         self._procs: list = [None] * self.num_workers
         self._conns: list = [None] * self.num_workers
         try:

@@ -38,7 +38,7 @@ from ..fixedpoint import ops
 from ..rtl.lfsr import Lfsr
 from ..rtl.lfsr_batch import LfsrBank
 from ..rtl.rng import DECIMATION
-from .base import BatchStats, lane_transitions, normalize_fleet
+from .base import BatchStats, check_query, lane_transitions, normalize_fleet
 
 _I64 = np.int64
 
@@ -635,11 +635,8 @@ class VectorizedFleetBackend:
         Qmax action and consumes no randomness.  Matches
         ``FunctionalSimulator.query_action`` draw for draw.
         """
+        check_query(self, k, state)
         A = self.A
-        if not 0 <= k < self.K:
-            raise IndexError(f"lane {k} out of range 0..{self.K - 1}")
-        if not 0 <= state < self.S:
-            raise ValueError(f"state {state} out of range [0, {self.S})")
         if not explore:
             return int(self.qmax_action[k, state])
         u = self._lane_draw(self._bank_policy, k)

@@ -39,7 +39,7 @@ from .policies import (
     select_update,
 )
 from .runstats import RunStatsContract
-from .tables import AcceleratorTables
+from .tables import AcceleratorTables, is_index
 
 
 @dataclass
@@ -93,6 +93,7 @@ class FunctionalSimulator:
         self.rule = config.rule
         self._rule_kind = self.rule.kind
         self._rule_coefs = self.rule.coefficients(config)
+        self._on_policy = config.is_on_policy
         #: Updates since the last hard target sync (target rule with
         #: ``target_sync_period > 0`` only).
         self._target_count = 0
@@ -136,18 +137,11 @@ class FunctionalSimulator:
         T = self.tables
         mdp = self.mdp
         draws = self.draws
-        on_policy = cfg.is_on_policy
+        on_policy = self._on_policy
         next_state = mdp.next_state
         terminal = T.terminal
-        coef_fmt = cfg.coef_format
-        q_fmt = cfg.q_format
         guard = self.guard
-        ecc = T._ecc
-        rule_kind = self._rule_kind
-        coefs = self._rule_coefs
-        mom_ram = T.momentum
-        tgt_ram = T.target
-        sync_period = cfg.target_sync_period
+        retire = self._retire
 
         for _ in range(num_samples):
             # -------- stage-1 equivalent: state + behaviour action -------- #
@@ -172,109 +166,134 @@ class FunctionalSimulator:
                 read_q=self._read_q_behavior,
                 num_actions=T.num_actions,
             )
-            pair = T.pair_addr(state, action)
             s_next = int(next_state[state, action])
-            terminal_next = bool(terminal[s_next])
-            q_sa = T.q.read(pair)
-            r = T.rewards.read(pair)
-
-            # -------- stage-2 equivalent: update policy -------- #
-            sel = select_update(
-                s_next,
-                config=cfg,
-                draws=draws,
-                read_qmax=T.read_qmax,
-                read_q=T.read_q,
-                num_actions=T.num_actions,
-            )
-            if sel.exploited:
-                self.stats.exploits += 1
-            else:
-                self.stats.explores += 1
-            if rule_kind == "target" and not terminal_next:
-                # Select-online / evaluate-target: the argmax comes from
-                # the online Qmax cache, the bootstrap value from the
-                # target table.
-                q_next = tgt_ram.read(T.pair_addr(s_next, sel.action))
-            else:
-                q_next = 0 if terminal_next else sel.q_raw
-
-            # -------- stage-3 equivalent: datapath -------- #
-            if rule_kind == "momentum":
-                q_new = ops.q_update_momentum(
-                    q_sa,
-                    r,
-                    q_next,
-                    mom_ram.read(pair),
-                    alpha=self.alpha_raw,
-                    one_minus_alpha=self.one_minus_alpha,
-                    alpha_gamma=self.alpha_gamma,
-                    beta=coefs.beta,
-                    coef_fmt=coef_fmt,
-                    q_fmt=q_fmt,
-                )
-            else:
-                q_new = ops.q_update(
-                    q_sa,
-                    r,
-                    q_next,
-                    alpha=self.alpha_raw,
-                    one_minus_alpha=self.one_minus_alpha,
-                    alpha_gamma=self.alpha_gamma,
-                    coef_fmt=coef_fmt,
-                    q_fmt=q_fmt,
-                )
-            if guard is not None:
-                q_new = guard.observe_update(state, action, q_new, q_fmt)
-
-            # -------- stage-4 equivalent: write-back -------- #
-            lw = self._last_write
-            lw.pair = pair
-            lw.state = state
-            lw.prev_q = q_sa
-            if ecc:
-                # Decode the raw words the lagged view snapshots below
-                # (ECC tables only; plain tables skip the branch).
-                T.qmax.scrub_word(state)
-                T.qmax_action.scrub_word(state)
-            lw.prev_qmax = int(T.qmax.data[state])
-            lw.prev_qmax_action = int(T.qmax_action.data[state])
-            T.writeback_now(state, action, q_new)
-            if rule_kind == "momentum":
-                # Historical iterate: M(s,a) <- the pre-update Q(s,a).
-                mom_ram.write_now(pair, q_sa)
-            elif rule_kind == "target":
-                # Lazy Polyak RMW of the written entry, then the
-                # optional periodic hard sync.
-                t_new = ops.polyak_update(
-                    tgt_ram.read(pair),
-                    q_new,
-                    tau=coefs.tau,
-                    one_minus_tau=coefs.one_minus_tau,
-                    coef_fmt=coef_fmt,
-                    q_fmt=q_fmt,
-                )
-                tgt_ram.write_now(pair, t_new)
-                self._target_count += 1
-                if sync_period and self._target_count >= sync_period:
-                    T.sync_target()
-                    self._target_count = 0
-
-            if self.trace is not None:
-                self.trace.append((self.stats.samples, state, action, q_new))
-            if self.state_log is not None:
-                self.state_log.append(state)
-            self.stats.samples += 1
-
-            if terminal_next:
-                self.arch_state = None
-                self._forwarded_action = None
-                self.stats.episodes += 1
-            else:
-                self.arch_state = s_next
-                self._forwarded_action = sel.action if on_policy else None
+            r = T.rewards.read(T.pair_addr(state, action))
+            retire(state, action, r, s_next, bool(terminal[s_next]), guard)
 
         return self.stats
+
+    def _retire(
+        self,
+        state: int,
+        action: int,
+        r: int,
+        s_next: int,
+        terminal: bool,
+        guard,
+    ) -> int:
+        """Stages 2-4 of one sample: update-policy draw, the rule's
+        stage-3 datapath, write-back and the lag/episode latches.
+
+        The one retire body shared by :meth:`run` (stage 1 and the
+        environment supply the operands) and :meth:`apply_transition`
+        (the caller supplies them).  ``r`` is the raw quantised reward;
+        ``guard`` (or None) observes the stage-3 result.  Returns the raw
+        written Q value.
+        """
+        cfg = self.config
+        T = self.tables
+        rule_kind = self._rule_kind
+        coef_fmt = cfg.coef_format
+        q_fmt = cfg.q_format
+        pair = T.pair_addr(state, action)
+        q_sa = T.q.read(pair)
+
+        # -------- stage-2 equivalent: update policy -------- #
+        sel = select_update(
+            s_next,
+            config=cfg,
+            draws=self.draws,
+            read_qmax=T.read_qmax,
+            read_q=T.read_q,
+            num_actions=T.num_actions,
+        )
+        if sel.exploited:
+            self.stats.exploits += 1
+        else:
+            self.stats.explores += 1
+        if rule_kind == "target" and not terminal:
+            # Select-online / evaluate-target: the argmax comes from the
+            # online Qmax cache, the bootstrap value from the target table.
+            q_next = T.target.read(T.pair_addr(s_next, sel.action))
+        else:
+            q_next = 0 if terminal else sel.q_raw
+
+        # -------- stage-3 equivalent: datapath -------- #
+        if rule_kind == "momentum":
+            q_new = ops.q_update_momentum(
+                q_sa,
+                r,
+                q_next,
+                T.momentum.read(pair),
+                alpha=self.alpha_raw,
+                one_minus_alpha=self.one_minus_alpha,
+                alpha_gamma=self.alpha_gamma,
+                beta=self._rule_coefs.beta,
+                coef_fmt=coef_fmt,
+                q_fmt=q_fmt,
+            )
+        else:
+            q_new = ops.q_update(
+                q_sa,
+                r,
+                q_next,
+                alpha=self.alpha_raw,
+                one_minus_alpha=self.one_minus_alpha,
+                alpha_gamma=self.alpha_gamma,
+                coef_fmt=coef_fmt,
+                q_fmt=q_fmt,
+            )
+        if guard is not None:
+            q_new = guard.observe_update(state, action, q_new, q_fmt)
+
+        # -------- stage-4 equivalent: write-back -------- #
+        lw = self._last_write
+        lw.pair = pair
+        lw.state = state
+        lw.prev_q = q_sa
+        if T._ecc:
+            # Decode the raw words the lagged view snapshots below (ECC
+            # tables only; plain tables skip the branch).
+            T.qmax.scrub_word(state)
+            T.qmax_action.scrub_word(state)
+        lw.prev_qmax = int(T.qmax.data[state])
+        lw.prev_qmax_action = int(T.qmax_action.data[state])
+        T.writeback_now(state, action, q_new)
+        if rule_kind == "momentum":
+            # Historical iterate: M(s,a) <- the pre-update Q(s,a).
+            T.momentum.write_now(pair, q_sa)
+        elif rule_kind == "target":
+            # Lazy Polyak RMW of the written entry, then the optional
+            # periodic hard sync.
+            coefs = self._rule_coefs
+            t_new = ops.polyak_update(
+                T.target.read(pair),
+                q_new,
+                tau=coefs.tau,
+                one_minus_tau=coefs.one_minus_tau,
+                coef_fmt=coef_fmt,
+                q_fmt=q_fmt,
+            )
+            T.target.write_now(pair, t_new)
+            self._target_count += 1
+            if cfg.target_sync_period and self._target_count >= cfg.target_sync_period:
+                T.sync_target()
+                self._target_count = 0
+
+        if self.trace is not None:
+            self.trace.append((self.stats.samples, state, action, q_new))
+        if self.state_log is not None:
+            self.state_log.append(state)
+        self.stats.samples += 1
+
+        if terminal:
+            self.arch_state = None
+            self._forwarded_action = None
+            self.stats.episodes += 1
+        else:
+            self.arch_state = s_next
+            self._forwarded_action = sel.action if self._on_policy else None
+        return q_new
 
     # ------------------------------------------------------------------ #
     # Externally driven transitions (the repro.serve ingress surface)
@@ -300,114 +319,21 @@ class FunctionalSimulator:
         external sample quantises at the same point).
 
         Interleaving :meth:`apply_transition` with :meth:`run` is
-        well-defined: the lag latch, episode latch and forwarded-action
-        latch are updated exactly as a :meth:`run` sample would.
-        Divergence guards are not consulted on this path (it must stay
-        bit-identical to the fleet backends' lane ops, which have no
-        guard hook).  Returns the raw written Q value.
+        well-defined: both retire through the same stage-2/3/4 body, so
+        the lag latch, episode latch and forwarded-action latch are
+        updated exactly as a :meth:`run` sample would.  Divergence guards
+        are not consulted on this path (it must stay bit-identical to
+        the fleet backends' lane ops, which have no guard hook).  Returns
+        the raw written Q value.
         """
-        cfg = self.config
-        T = self.tables
-        if not 0 <= state < T.num_states or not 0 <= next_state < T.num_states:
-            raise ValueError(
-                f"state/next_state out of range [0, {T.num_states}): "
-                f"{state}, {next_state}"
-            )
-        if not 0 <= action < T.num_actions:
-            raise ValueError(f"action {action} out of range [0, {T.num_actions})")
-
-        pair = T.pair_addr(state, action)
-        q_sa = T.q.read(pair)
-        r = cfg.q_format.quantize(float(reward))
-
-        # -------- stage-2 equivalent: update policy -------- #
-        sel = select_update(
-            next_state,
-            config=cfg,
-            draws=self.draws,
-            read_qmax=T.read_qmax,
-            read_q=T.read_q,
-            num_actions=T.num_actions,
-        )
-        if sel.exploited:
-            self.stats.exploits += 1
-        else:
-            self.stats.explores += 1
-        rule_kind = self._rule_kind
-        coefs = self._rule_coefs
-        if rule_kind == "target" and not terminal:
-            q_next = T.target.read(T.pair_addr(next_state, sel.action))
-        else:
-            q_next = 0 if terminal else sel.q_raw
-
-        # -------- stage-3 equivalent: datapath -------- #
-        if rule_kind == "momentum":
-            q_new = ops.q_update_momentum(
-                q_sa,
-                r,
-                q_next,
-                T.momentum.read(pair),
-                alpha=self.alpha_raw,
-                one_minus_alpha=self.one_minus_alpha,
-                alpha_gamma=self.alpha_gamma,
-                beta=coefs.beta,
-                coef_fmt=cfg.coef_format,
-                q_fmt=cfg.q_format,
-            )
-        else:
-            q_new = ops.q_update(
-                q_sa,
-                r,
-                q_next,
-                alpha=self.alpha_raw,
-                one_minus_alpha=self.one_minus_alpha,
-                alpha_gamma=self.alpha_gamma,
-                coef_fmt=cfg.coef_format,
-                q_fmt=cfg.q_format,
-            )
-
-        # -------- stage-4 equivalent: write-back -------- #
-        lw = self._last_write
-        lw.pair = pair
-        lw.state = state
-        lw.prev_q = q_sa
-        if T._ecc:
-            T.qmax.scrub_word(state)
-            T.qmax_action.scrub_word(state)
-        lw.prev_qmax = int(T.qmax.data[state])
-        lw.prev_qmax_action = int(T.qmax_action.data[state])
-        T.writeback_now(state, action, q_new)
-        if rule_kind == "momentum":
-            T.momentum.write_now(pair, q_sa)
-        elif rule_kind == "target":
-            t_new = ops.polyak_update(
-                T.target.read(pair),
-                q_new,
-                tau=coefs.tau,
-                one_minus_tau=coefs.one_minus_tau,
-                coef_fmt=cfg.coef_format,
-                q_fmt=cfg.q_format,
-            )
-            T.target.write_now(pair, t_new)
-            self._target_count += 1
-            if cfg.target_sync_period and self._target_count >= cfg.target_sync_period:
-                T.sync_target()
-                self._target_count = 0
-
-        if self.trace is not None:
-            self.trace.append((self.stats.samples, state, action, q_new))
-        if self.state_log is not None:
-            self.state_log.append(state)
-        self.stats.samples += 1
-
-        if terminal:
-            self.arch_state = None
-            self._forwarded_action = None
-            self.stats.episodes += 1
-        else:
-            self.arch_state = next_state
-            self._forwarded_action = sel.action if cfg.is_on_policy else None
-        return q_new
+        S, A = self.tables.num_states, self.tables.num_actions
+        for name, value, bound in (
+            ("state", state, S), ("action", action, A), ("next_state", next_state, S)
+        ):
+            if not is_index(value) or not 0 <= value < bound:
+                raise ValueError(f"{name} {value!r} out of range [0, {bound})")
+        r = self.config.q_format.quantize(float(reward))
+        return self._retire(state, action, r, next_state, terminal, None)
 
     def query_action(self, state: int, explore: bool = True) -> int:
         """Recommend an action for ``state`` without updating any table.
@@ -419,8 +345,8 @@ class FunctionalSimulator:
         randomness.  Stats counters are untouched either way.
         """
         T = self.tables
-        if not 0 <= state < T.num_states:
-            raise ValueError(f"state {state} out of range [0, {T.num_states})")
+        if not is_index(state) or not 0 <= state < T.num_states:
+            raise ValueError(f"state {state!r} out of range [0, {T.num_states})")
         if not explore:
             return T.read_qmax(state)[1]
         return egreedy_select(

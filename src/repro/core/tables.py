@@ -24,6 +24,12 @@ from ..rtl.memory import BRAM36, TableRam
 from .config import QTAccelConfig
 
 
+def is_index(v) -> bool:
+    """An integer scalar that is not a bool: the one rule every engine
+    applies to an externally supplied lane, state or action index."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def apply_qmax_rule(
     mode: str, value: int, act: int, new_val: int, new_act: int
 ) -> tuple[int, int]:

@@ -10,6 +10,8 @@ bit-exactness tests in ``test_serve.py`` stand on.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import random
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.backends.vectorized import VectorizedFleetBackend
 from repro.core.config import QTAccelConfig
 from repro.core.functional import FunctionalSimulator
 from repro.core.policies import PolicyDraws
+from repro.envs.gridworld import GridWorld
 from repro.serve.session import serve_world
 
 S, A = 16, 4
@@ -361,3 +364,131 @@ def test_scalars_broadcast_and_empty_batch():
         want = ref.apply_transition(s, 1, 0.25, s + 1, False)
     assert q == want
     assert _fleet_lane(fleet, 0) == _functional_lane(ref)
+
+
+# ---------------------------------------------------------------------- #
+# Lane ops interleaved with fleet runs
+# ---------------------------------------------------------------------- #
+
+GRID = GridWorld.random(8, 4, obstacle_density=0.15, seed=2).to_mdp()
+
+RULE_CONFIGS = {
+    "qlearning": QTAccelConfig.qlearning,
+    "sarsa": QTAccelConfig.sarsa,
+    "momentum": QTAccelConfig.momentum,
+    "target": functools.partial(QTAccelConfig.target_q, target_sync_period=7),
+}
+
+
+@pytest.mark.parametrize("ecc", [False, True], ids=["plain", "ecc"])
+@pytest.mark.parametrize("qmax_mode", ["monotonic", "follow", "exact"])
+@pytest.mark.parametrize("rule", sorted(RULE_CONFIGS))
+@pytest.mark.parametrize("backend", ["vectorized", "native"])
+def test_runs_interleaved_with_lane_ops(backend, rule, qmax_mode, ecc):
+    """``run(n)``, batched ``apply_transition`` and exploring
+    ``query_action`` in one stream leave every lane where a functional
+    simulator fed the same ops ends: the SARSA forwarded action, the lag
+    latch, the episode latch and the rule tables carry across the two
+    retire paths.  ``ecc`` switches the reference to ECC tables."""
+    cfg = RULE_CONFIGS[rule](seed=13, qmax_mode=qmax_mode)
+    lanes = 3
+    if backend == "native":
+        from repro.backends.native import NativeFleetBackend, _find_compiler
+
+        if _find_compiler() is None:
+            pytest.skip("no C compiler for the fused kernel")
+        fleet = NativeFleetBackend(GRID, cfg, num_agents=lanes)
+    else:
+        fleet = VectorizedFleetBackend(GRID, cfg, num_agents=lanes)
+    ref_cfg = dataclasses.replace(cfg, ecc_tables=ecc)
+    sims = [
+        FunctionalSimulator(GRID, ref_cfg, draws=PolicyDraws.from_config(ref_cfg, salt=k))
+        for k in range(lanes)
+    ]
+    rng = random.Random(f"{rule}-{qmax_mode}")
+    S_grid, A_grid = GRID.num_states, GRID.num_actions
+    for op in range(40):
+        roll = rng.random()
+        k = rng.randrange(lanes)
+        if roll < 0.4:
+            n = rng.randrange(1, 17)
+            fleet.run(n)
+            for sim in sims:
+                sim.run(n)
+        elif roll < 0.8:
+            rows = [
+                (rng.randrange(S_grid), rng.randrange(A_grid), rng.uniform(-2.0, 2.0),
+                 rng.randrange(S_grid), rng.random() < 0.1)
+                for _ in range(rng.randrange(1, 6))
+            ]
+            got = fleet.apply_transition(k, *_as_columns(rows))
+            for row in rows:
+                want = sims[k].apply_transition(*row)
+            assert got == want, f"op {op}"
+        else:
+            s = rng.randrange(S_grid)
+            assert fleet.query_action(k, s, True) == sims[k].query_action(s), f"op {op}"
+        for lane, sim in enumerate(sims):
+            want = _functional_lane(sim)
+            got = _fleet_lane(fleet, lane)
+            assert {key: got[key] for key in want} == want, f"op {op} lane {lane}"
+    assert _counts(fleet.stats) == tuple(
+        sum(c) for c in zip(*(_counts(sim.stats) for sim in sims))
+    )
+
+
+# ---------------------------------------------------------------------- #
+# query_action input validation
+# ---------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("backend", ["functional", "vectorized", "scalar", "native", "sharded"])
+def test_bad_query_consumes_no_draw(backend):
+    """A non-integer or bool lane or state raises a typed error before
+    the policy LFSR is drawn: the lane, its LFSR registers included, is
+    unchanged, so a later exploring query still matches the reference."""
+    cfg = QTAccelConfig.sarsa(seed=5)
+    ref = _reference(cfg, 41)
+    if backend == "functional":
+        fleet = None
+        sim = _reference(cfg, 41)
+        query = lambda k, s: sim.query_action(s, True)  # noqa: E731
+        snapshot = lambda: _functional_lane(sim)  # noqa: E731
+        bad = [(0, 1.5), (0, True), (0, np.float64(2.0))]
+    else:
+        fleet = _build(backend, cfg, k=2)
+        fleet.reset_lane(1, 41)
+        query = lambda k, s: fleet.query_action(k, s, True)  # noqa: E731
+        snapshot = lambda: [_fleet_lane(fleet, lane) for lane in range(2)]  # noqa: E731
+        bad = [(1, 1.5), (1, True), (1, np.float64(2.0)),
+               (1.5, 2), (True, 2), (np.float64(1.0), 2), (2, 2), (-1, 2)]
+    try:
+        before = snapshot()
+        for k, s in bad:
+            with pytest.raises((IndexError, ValueError)):
+                query(k, s)
+            assert snapshot() == before, (k, s)
+        for s in (2, 5, 9):
+            assert query(1, s) == ref.query_action(s, True)
+    finally:
+        if hasattr(fleet, "close"):
+            fleet.close()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [(True, 0, 0.5, 2), (1.5, 0, 0.5, 2), (1, np.float64(1.0), 0.5, 2),
+     (1, 0, 0.5, True)],
+    ids=["bool-state", "float-state", "float-action", "bool-next"],
+)
+def test_functional_bad_transition_changes_nothing(row):
+    """The reference simulator applies the lane ops' integer rule before
+    its update-policy draw: a bad row raises ValueError and leaves the
+    tables, latches, LFSRs and counters as they were."""
+    sim = _reference(QTAccelConfig.sarsa(seed=5), 41)
+    sim.apply_transition(3, 1, 0.25, 4, False)
+    before, counts = _functional_lane(sim), _counts(sim.stats)
+    with pytest.raises(ValueError):
+        sim.apply_transition(*row)
+    assert _functional_lane(sim) == before
+    assert _counts(sim.stats) == counts

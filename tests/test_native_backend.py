@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms import RuleKernel, UnsupportedRuleError
-from repro.algorithms.rules import QLearningRule
+from repro.algorithms import RULE_KINDS
 from repro.backends import (
     FleetBackend,
     NativeBackendUnavailableError,
@@ -120,14 +119,11 @@ class TestRegistryAndDispatch:
             )
         assert fleet_backend_availability()["native"]["available"] is False
 
-    def test_unlowered_rule_rejected_at_construction(self, monkeypatch):
-        """A rule whose RuleKernel id has no fused lowering fails early,
-        typed, and names the backend that would still run it."""
-        monkeypatch.setattr(
-            QLearningRule, "kernel", RuleKernel(kernel_id=9, note="no lowering")
-        )
-        with pytest.raises(UnsupportedRuleError, match="kernel_id=9"):
-            NativeFleetBackend(GRID, QTAccelConfig.qlearning(seed=1), num_agents=1)
+    def test_kernel_has_a_tag_for_every_rule_kind(self):
+        """``rule.kind`` is the kernel's only rule key: every kind a rule
+        can register with maps to its own C tag, and no other kind does."""
+        assert set(native_mod._RULE_KINDS) == set(RULE_KINDS)
+        assert len(set(native_mod._RULE_KINDS.values())) == len(RULE_KINDS)
 
     def test_telemetry_snapshot_reports_tier(self):
         fleet = NativeFleetBackend(GRID, QTAccelConfig.qlearning(seed=2), num_agents=2)
