@@ -114,11 +114,13 @@ def normalize_fleet(
     if not fleet:
         raise ValueError("need at least one agent")
     k = len(fleet)
+    # One shared world agrees with itself: only a list is checked lane by lane.
+    worlds = fleet[:1] if homogeneous else fleet
     shape = (fleet[0].num_states, fleet[0].num_actions)
-    if any((m.num_states, m.num_actions) != shape for m in fleet):
+    if any((m.num_states, m.num_actions) != shape for m in worlds):
         raise ValueError("all agent worlds must share (|S|, |A|)")
     n_starts = len(fleet[0].start_states)
-    if any(len(m.start_states) != n_starts for m in fleet):
+    if any(len(m.start_states) != n_starts for m in worlds):
         raise ValueError(
             "all agent worlds must have equally many start states "
             "(the start draw reduces modulo that count)"
@@ -134,13 +136,20 @@ def normalize_fleet(
 _U64 = np.uint64
 
 
+def check_lane(fleet, k) -> None:
+    """:class:`IndexError` unless ``k`` is a lane index ``0..K-1`` (an
+    integer, not a bool): the check ``query_action`` and ``reset_lane``
+    make before touching the lane."""
+    if not is_index(k) or not 0 <= k < fleet.K:
+        raise IndexError(f"lane {k!r} out of range 0..{fleet.K - 1}")
+
+
 def check_query(fleet, k, state) -> None:
     """Validate the lane and state of a ``query_action`` before it draws:
     :class:`IndexError` for a lane outside ``0..K-1`` and
     :class:`ValueError` for a state outside ``[0, S)``, non-integers and
     bools included, so a bad query consumes no policy word."""
-    if not is_index(k) or not 0 <= k < fleet.K:
-        raise IndexError(f"lane {k!r} out of range 0..{fleet.K - 1}")
+    check_lane(fleet, k)
     if not is_index(state) or not 0 <= state < fleet.S:
         raise ValueError(f"state {state!r} out of range [0, {fleet.S})")
 

@@ -21,11 +21,20 @@ hardware traversal:
   ``kind`` (one C tag per entry of :data:`~repro.algorithms.RULE_KINDS`,
   which is every kind a rule can register with).
 
-The kernel is one C source, compiled on first use with the system
-compiler (``$CC``, else ``cc``/``gcc``/``clang``) into a source-hash-cached
-shared object and called through :mod:`ctypes` — no third-party packages.
-Without a compiler, construction raises :class:`NativeBackendUnavailableError`;
-the vectorized backend runs the same program everywhere.
+The kernel is one C source, compiled with the system compiler (``$CC``,
+else ``cc``/``gcc``/``clang``) and called through :mod:`ctypes` — no
+third-party packages.  As synthesis fixes the paper's generic template,
+each build fixes the datapath: the config's switches (:data:`_SWITCHES`:
+rule kind, Qmax rule, policy pair, on-policy forwarding, per-lane worlds,
+overflow and rounding mode) and the LFSR decimation are ``-D`` constants,
+so the kernel tests none of them per sample.  There is no generic build.
+Each switch tuple compiles once (~0.15 s) into a shared object cached
+under ``$TMPDIR/qtaccel-native-<uid>/`` by the source hash plus the
+switches, and is loaded once per process; a later construction of a
+config reuses the loaded kernel without hashing, file-system work or
+compiling.  Without a compiler, construction raises
+:class:`NativeBackendUnavailableError`; the vectorized backend runs the
+same program everywhere.
 
 The stage-2/3/4 retire body (update-policy draw, wide accumulate, one
 round and clamp, write-back with the Qmax rule, rule tables, lag latches,
@@ -45,11 +54,13 @@ builds.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -80,14 +91,19 @@ class NativeBackendUnavailableError(ImportError):
 
 
 def _find_compiler() -> str | None:
-    """The C compiler that builds the kernel, or None."""
-    cc = os.environ.get("CC")
-    if cc and shutil.which(cc):
+    """The C compiler that builds the kernel, or None (looked up once per
+    ``$CC``/``$PATH`` pair, so a construction does no file-system work)."""
+    return _which_compiler(os.environ.get("CC"), os.environ.get("PATH"))
+
+
+@functools.lru_cache(maxsize=8)
+def _which_compiler(cc: str | None, path: str | None) -> str | None:
+    if cc and shutil.which(cc, path=path):
         return cc
     for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
+        found = shutil.which(name, path=path)
+        if found:
+            return found
     return None
 
 
@@ -106,12 +122,13 @@ def native_available() -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------- #
-# The fused kernel, compiled once per source hash
+# The fused kernel, compiled once per datapath configuration
 # ---------------------------------------------------------------------- #
 
 #: Fields of the kernel context ``qt_ctx``, in order: table addresses,
-#: then constants.  Python packs one int64 per field into an array the
-#: backend keeps; the C struct below is generated from these names.
+#: then numeric constants.  Python packs one int64 per field into an
+#: array the backend keeps; the C struct below is generated from these
+#: names.
 _CTX_POINTERS = (
     "q", "qmax", "qmax_action", "momentum", "target", "target_count",
     "arch_state", "forwarded", "prev_pair", "prev_state", "prev_q",
@@ -119,19 +136,45 @@ _CTX_POINTERS = (
     "leap", "nxt", "rew", "term", "starts", "counts",
 )
 _CTX_SCALARS = (
-    "K", "S", "A", "n_starts", "dec", "dec_mask", "het",
-    "egreedy_cut", "behavior_random", "update_greedy", "on_policy",
-    "rule_kind", "qmax_mode", "one_minus_alpha", "alpha", "alpha_gamma",
-    "beta", "tau", "one_minus_tau", "shift", "nearest", "saturate",
-    "raw_min", "raw_max", "span", "signed_fmt", "sync_period",
+    "K", "S", "A", "n_starts", "egreedy_cut", "one_minus_alpha", "alpha",
+    "alpha_gamma", "beta", "tau", "one_minus_tau", "shift", "raw_min",
+    "raw_max", "span", "signed_fmt", "sync_period",
 )
+
+#: The datapath switches, fixed per build the way synthesis fixes the
+#: FPGA template: each is compiled in as the constant ``QT_<NAME>``, so
+#: the kernel tests none of them per sample.  One build per tuple.
+_SWITCHES = (
+    "rule_kind", "qmax_mode", "update_greedy", "behavior_random",
+    "on_policy", "het", "saturate", "nearest",
+)
+
+
+def _switches(config: QTAccelConfig, *, het: bool) -> tuple[int, ...]:
+    """The :data:`_SWITCHES` tuple (the build key) of a fleet running
+    ``config``; ``het``: per-lane environment tables."""
+    qf = config.q_format
+    return (
+        _RULE_KINDS[config.rule.kind],
+        _QMAX_MODES[config.qmax_mode],
+        int(config.update_policy == "greedy"),
+        int(config.behavior_policy == "random"),
+        int(config.is_on_policy),
+        int(het),
+        int(qf.overflow == "saturate"),
+        int(qf.rounding == "nearest"),
+    )
+
 
 _C_SOURCE = r"""
 /* qtaccel fused fleet kernel -- the one executable definition of the
  * stage-2/3/4 retire body, shared by the fused lock-step program and the
  * batched lane op.  Bit-identity with the vectorized numpy program and
  * the functional simulator is asserted by the test suite; arithmetic
- * right shift on negative int64_t (gcc/clang behaviour) is assumed. */
+ * right shift on negative int64_t (gcc/clang behaviour) is assumed.
+ * The datapath switches QT_RULE_KIND, QT_QMAX_MODE, QT_UPDATE_GREEDY,
+ * QT_BEHAVIOR_RANDOM, QT_ON_POLICY, QT_HET, QT_SATURATE and QT_NEAREST,
+ * and the LFSR decimation QT_DEC, are -D constants of the build. */
 #include <stdint.h>
 
 typedef struct {
@@ -145,7 +188,7 @@ typedef struct {
 
 static inline int64_t qt_draw(const qt_ctx *c, int64_t s)
 {
-    return (s >> c->dec) ^ c->leap[s & c->dec_mask];
+    return (s >> QT_DEC) ^ c->leap[s & (((int64_t)1 << QT_DEC) - 1)];
 }
 
 static inline int64_t qt_reduce(int64_t u, int64_t m)
@@ -164,7 +207,7 @@ static inline qt_lane qt_lane_load(const qt_ctx *c, int64_t k)
     L.p_q = c->prev_q[k];
     L.p_qm = c->prev_qmax[k];
     L.p_qa = c->prev_qmax_action[k];
-    L.tc = (c->rule_kind == 2) ? c->target_count[k] : 0;
+    L.tc = (QT_RULE_KIND == 2) ? c->target_count[k] : 0;
     return L;
 }
 
@@ -178,7 +221,7 @@ static inline void qt_lane_store(const qt_ctx *c, int64_t k, const qt_lane *L)
     c->prev_q[k] = L->p_q;
     c->prev_qmax[k] = L->p_qm;
     c->prev_qmax_action[k] = L->p_qa;
-    if (c->rule_kind == 2) c->target_count[k] = L->tc;
+    if (QT_RULE_KIND == 2) c->target_count[k] = L->tc;
 }
 
 /* One rounding shift and one overflow clamp of a wide accumulator. */
@@ -188,13 +231,13 @@ static inline int64_t qt_round_clamp(const qt_ctx *c, int64_t acc)
     int64_t v;
     if (shift == 0) {
         v = acc;
-    } else if (c->nearest) {
+    } else if (QT_NEAREST) {
         const int64_t half = (int64_t)1 << (shift - 1);
         v = (acc >= 0) ? ((acc + half) >> shift) : -((-acc + half) >> shift);
     } else {
         v = acc >> shift;
     }
-    if (c->saturate) {
+    if (QT_SATURATE) {
         if (v < c->raw_min) v = c->raw_min;
         else if (v > c->raw_max) v = c->raw_max;
     } else {
@@ -220,9 +263,9 @@ static inline int64_t qt_retire(const qt_ctx *c, qt_lane *L, int64_t k,
     /* stage 2: update policy */
     const int64_t ins = s_base + s_next;
     int64_t a_next, q_next;
-    if (c->update_greedy) {
+    if (QT_UPDATE_GREEDY) {
         a_next = qmax_action[ins];
-        q_next = (c->rule_kind == 2) ? c->target[sa_base + s_next * A + a_next]
+        q_next = (QT_RULE_KIND == 2) ? c->target[sa_base + s_next * A + a_next]
                                      : qmax[ins];
         counts[0]++;
     } else {
@@ -242,7 +285,7 @@ static inline int64_t qt_retire(const qt_ctx *c, qt_lane *L, int64_t k,
 
     /* stage 3: wide accumulate, one round, one clamp */
     int64_t acc = c->one_minus_alpha * q_sa + c->alpha * r + c->alpha_gamma * q_next;
-    if (c->rule_kind == 1)
+    if (QT_RULE_KIND == 1)
         acc += c->beta * (q_sa - c->momentum[isa]);
     const int64_t q_new = qt_round_clamp(c, acc);
 
@@ -251,7 +294,7 @@ static inline int64_t qt_retire(const qt_ctx *c, qt_lane *L, int64_t k,
     const int64_t cur_val = qmax[ist];
     const int64_t cur_act = qmax_action[ist];
     q[isa] = q_new;
-    if (c->qmax_mode == 0) { /* exact: first-max row scan */
+    if (QT_QMAX_MODE == 0) { /* exact: first-max row scan */
         const int64_t row = sa_base + state * A;
         int64_t best = 0, best_val = q[row];
         for (int64_t a = 1; a < A; a++) {
@@ -264,16 +307,16 @@ static inline int64_t qt_retire(const qt_ctx *c, qt_lane *L, int64_t k,
         qmax_action[ist] = best;
     } else {
         int upd = q_new > cur_val;
-        if (c->qmax_mode == 2 && action == cur_act) upd = 1;
+        if (QT_QMAX_MODE == 2 && action == cur_act) upd = 1;
         if (upd) {
             qmax[ist] = q_new;
             qmax_action[ist] = action;
         }
     }
 
-    if (c->rule_kind == 1) {
+    if (QT_RULE_KIND == 1) {
         c->momentum[isa] = q_sa;
-    } else if (c->rule_kind == 2) {
+    } else if (QT_RULE_KIND == 2) {
         c->target[isa] = qt_round_clamp(
             c, c->one_minus_tau * c->target[isa] + c->tau * q_new);
         L->tc++;
@@ -293,10 +336,10 @@ static inline int64_t qt_retire(const qt_ctx *c, qt_lane *L, int64_t k,
     if (terminal) {
         counts[2]++;
         L->st = -1;
-        if (c->on_policy) L->fw = -1;
+        if (QT_ON_POLICY) L->fw = -1;
     } else {
         L->st = s_next;
-        if (c->on_policy) L->fw = a_next;
+        if (QT_ON_POLICY) L->fw = a_next;
     }
     return q_new;
 }
@@ -311,9 +354,9 @@ void qtaccel_fleet_steps(const qt_ctx *ctx, int64_t n_steps)
     const int64_t A = c->A, S = c->S, n_starts = c->n_starts;
     int64_t counts[3] = {0, 0, 0};
     for (int64_t k = 0; k < c->K; k++) {
-        const int64_t e_sa = c->het ? k * S * A : 0;
-        const int64_t e_s = c->het ? k * S : 0;
-        const int64_t e_start = c->het ? k * n_starts : 0;
+        const int64_t e_sa = QT_HET ? k * S * A : 0;
+        const int64_t e_s = QT_HET ? k * S : 0;
+        const int64_t e_start = QT_HET ? k * n_starts : 0;
         qt_lane L = qt_lane_load(c, k);
         int64_t ss = c->s_start[k];
         int64_t sa_rng = c->s_action[k];
@@ -327,10 +370,13 @@ void qtaccel_fleet_steps(const qt_ctx *ctx, int64_t n_steps)
             } else {
                 state = L.st;
             }
-            if (c->behavior_random) {
+            if (QT_BEHAVIOR_RANDOM) {
                 sa_rng = qt_draw(c, sa_rng);
                 action = qt_reduce(sa_rng, A);
-            } else if (restart) {
+            } else if (restart || !QT_ON_POLICY) {
+                /* e-greedy: a fresh draw against the lagged table view,
+                 * at restarts only when on-policy (SARSA holds the
+                 * forwarded action) and on every sample off-policy */
                 L.sp = qt_draw(c, L.sp);
                 if (L.sp < c->egreedy_cut) {
                     action = (state == L.p_state) ? L.p_qa
@@ -386,25 +432,35 @@ int64_t qtaccel_lane_transitions(const qt_ctx *ctx, int64_t k, int64_t n,
     ),
 )
 
-_KERNEL = None
+#: Loaded kernels, one per switch tuple: ``(fleet_steps, lane_transitions)``.
+_KERNELS: dict[tuple[int, ...], tuple] = {}
+#: Serialises first-use builds and loads within this process.
+_BUILD_LOCK = threading.Lock()
 
 
-def _build_library(compiler: str) -> str:
-    """Compile the C kernel into a source-hash-cached shared object."""
-    digest = hashlib.sha1(_C_SOURCE.encode()).hexdigest()[:16]
+def _build_library(compiler: str, switches: tuple[int, ...]) -> str:
+    """Compile the C kernel for one switch tuple into a shared object
+    cached on the source hash plus the switches; returns its path.
+
+    Sources and objects are written under per-process names and the
+    object is renamed into place, so concurrent builders of one variant
+    never read each other's half-written files."""
+    defines = [f"-DQT_{name.upper()}={v}" for name, v in zip(_SWITCHES, switches)]
+    defines.append(f"-DQT_DEC={DECIMATION}")
+    digest = hashlib.sha1("\n".join([_C_SOURCE, *defines]).encode()).hexdigest()[:16]
     cache_dir = os.path.join(
         tempfile.gettempdir(), f"qtaccel-native-{os.getuid()}"
     )
     os.makedirs(cache_dir, exist_ok=True)
     lib_path = os.path.join(cache_dir, f"qtaccel_fleet_{digest}.so")
     if not os.path.exists(lib_path):
-        src_path = os.path.join(cache_dir, f"qtaccel_fleet_{digest}.c")
-        tmp_path = lib_path + f".tmp{os.getpid()}"
+        stem = os.path.join(cache_dir, f"qtaccel_fleet_{digest}.tmp{os.getpid()}")
+        src_path, tmp_path = stem + ".c", stem + ".so"
         with open(src_path, "w") as fh:
             fh.write(_C_SOURCE)
         try:
             subprocess.run(
-                [compiler, "-O3", "-shared", "-fPIC", "-o", tmp_path, src_path],
+                [compiler, "-O3", "-shared", "-fPIC", *defines, "-o", tmp_path, src_path],
                 check=True,
                 capture_output=True,
                 text=True,
@@ -413,35 +469,41 @@ def _build_library(compiler: str) -> str:
             raise NativeBackendUnavailableError(
                 f"fused kernel compile failed with {compiler}:\n{exc.stderr}"
             ) from exc
+        finally:
+            os.unlink(src_path)
         os.replace(tmp_path, lib_path)  # atomic vs concurrent builders
     return lib_path
 
 
-def _get_kernel():
-    """The kernel's two entry points, ``(fleet_steps, lane_transitions)``,
-    as typed ctypes functions (built and loaded once per process); raises
+def _get_kernel(switches: tuple[int, ...]):
+    """The kernel's two entry points for one :data:`_SWITCHES` tuple,
+    ``(fleet_steps, lane_transitions)``, as typed ctypes functions (built
+    and loaded once per process); raises
     :class:`NativeBackendUnavailableError` without a C compiler."""
-    global _KERNEL
     compiler = _find_compiler()
     if compiler is None:
         raise NativeBackendUnavailableError(f"NativeFleetBackend: {_NO_COMPILER}")
-    if _KERNEL is None:
-        import ctypes
+    kernel = _KERNELS.get(switches)
+    if kernel is not None:
+        return kernel
+    import ctypes
 
-        if ctypes.sizeof(ctypes.c_void_p) != 8:
-            raise NativeBackendUnavailableError(
-                "NativeFleetBackend: the kernel context packs addresses "
-                "into int64 and needs a 64-bit platform"
-            )
-        lib = ctypes.CDLL(_build_library(compiler))
-        steps = lib.qtaccel_fleet_steps
-        steps.argtypes = (ctypes.c_void_p, ctypes.c_int64)
-        steps.restype = None
-        lane = lib.qtaccel_lane_transitions
-        lane.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
-        lane.restype = ctypes.c_int64
-        _KERNEL = (steps, lane)
-    return _KERNEL
+    if ctypes.sizeof(ctypes.c_void_p) != 8:
+        raise NativeBackendUnavailableError(
+            "NativeFleetBackend: the kernel context packs addresses "
+            "into int64 and needs a 64-bit platform"
+        )
+    with _BUILD_LOCK:
+        if switches not in _KERNELS:
+            lib = ctypes.CDLL(_build_library(compiler, switches))
+            steps = lib.qtaccel_fleet_steps
+            steps.argtypes = (ctypes.c_void_p, ctypes.c_int64)
+            steps.restype = None
+            lane = lib.qtaccel_lane_transitions
+            lane.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+            lane.restype = ctypes.c_int64
+            _KERNELS[switches] = (steps, lane)
+    return _KERNELS[switches]
 
 
 class NativeFleetBackend(VectorizedFleetBackend):
@@ -461,7 +523,7 @@ class NativeFleetBackend(VectorizedFleetBackend):
     _TELEMETRY_NAME = "native"
 
     #: How the kernel was built, reported as ``telemetry_snapshot()
-    #: ["kernel"]`` and in perf records (one C build: always ``"cc"``).
+    #: ["kernel"]`` and in perf records (the C kernel: always ``"cc"``).
     kernel_tier = "cc"
 
     #: Steps fused per kernel invocation when a telemetry session is
@@ -484,7 +546,9 @@ class NativeFleetBackend(VectorizedFleetBackend):
         super().__init__(
             mdps, config, num_agents=num_agents, salts=salts, telemetry=telemetry
         )
-        self._steps_fn, self._lane_fn = _get_kernel()
+        self._steps_fn, self._lane_fn = _get_kernel(
+            _switches(config, het=self._env_sa_off is not None)
+        )
 
         # Kernel-side constants and buffers.  The terminal flags become
         # an int64 copy once (env tables are immutable after build).
@@ -500,15 +564,7 @@ class NativeFleetBackend(VectorizedFleetBackend):
             "S": self.S,
             "A": self.A,
             "n_starts": self._n_starts,
-            "dec": DECIMATION,
-            "dec_mask": (1 << DECIMATION) - 1,
-            "het": int(self._env_sa_off is not None),
             "egreedy_cut": int(self._egreedy_cut),
-            "behavior_random": int(config.behavior_policy == "random"),
-            "update_greedy": int(config.update_policy == "greedy"),
-            "on_policy": int(config.is_on_policy),
-            "rule_kind": _RULE_KINDS[self._rule_kind],
-            "qmax_mode": _QMAX_MODES[config.qmax_mode],
             "one_minus_alpha": int(self._one_minus_alpha),
             "alpha": int(self._alpha),
             "alpha_gamma": int(self._alpha_gamma),
@@ -516,8 +572,6 @@ class NativeFleetBackend(VectorizedFleetBackend):
             "tau": int(coefs.tau),
             "one_minus_tau": int(coefs.one_minus_tau),
             "shift": int(config.coef_format.frac),
-            "nearest": int(qf.rounding == "nearest"),
-            "saturate": int(qf.overflow == "saturate"),
             "raw_min": int(qf.raw_min),
             "raw_max": int(qf.raw_max),
             "span": 1 << qf.wordlen,

@@ -27,7 +27,7 @@ from ..core.functional import FunctionalSimulator
 from ..core.policies import PolicyDraws
 from ..envs.base import DenseMdp
 from ..fixedpoint import ops
-from .base import BatchStats, check_query, lane_transitions, normalize_fleet
+from .base import BatchStats, check_lane, check_query, lane_transitions, normalize_fleet
 
 
 class ScalarFleetBackend:
@@ -142,8 +142,7 @@ class ScalarFleetBackend:
 
     def reset_lane(self, k: int, salt: int) -> None:
         """Replace lane ``k`` with a pristine simulator seeded by ``salt``."""
-        if not 0 <= k < self.K:
-            raise IndexError(f"lane {k} out of range 0..{self.K - 1}")
+        check_lane(self, k)
         sim = FunctionalSimulator(
             self.mdps[k],
             self.config,

@@ -14,8 +14,9 @@ Each shard runs the fused C kernel
 (:class:`~repro.backends.native.NativeFleetBackend`) whenever a C
 compiler can build it — the rule that picks the gateway's default
 engine.  The parent decides
-once, at construction (:func:`shard_kernel`), and loads the kernel
-before spawning, so workers never compile it concurrently.  Without a
+once, at construction (:func:`shard_kernel`), and loads the config's
+kernel variant before spawning, so workers never compile it
+concurrently.  Without a
 compiler the shards run the same program in numpy
 (:class:`~repro.backends.vectorized.VectorizedFleetBackend`), the
 fallback.  ``telemetry_snapshot()["kernel"]`` reports which one ran
@@ -220,20 +221,28 @@ def _attach_shm(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
-def shard_kernel() -> str:
+def shard_kernel(config: QTAccelConfig, *, heterogeneous: bool = False) -> str:
     """The program shard workers run: ``"cc"`` (the fused C kernel) when
     a C compiler can build it, else ``"numpy"`` (the vectorized
     program).
 
-    Choosing ``"cc"`` builds and loads the kernel in this process, so
-    the workers spawned afterwards find it compiled.
+    Choosing ``"cc"`` builds and loads the kernel variants the fleet
+    needs in this process — the parent's (one shared world) and, for a
+    ``heterogeneous`` fleet, the workers' (per-lane worlds) — so the
+    workers spawned afterwards find them compiled.
     """
-    from .native import NativeBackendUnavailableError, _get_kernel, native_available
+    from .native import (
+        NativeBackendUnavailableError,
+        _get_kernel,
+        _switches,
+        native_available,
+    )
 
     if not native_available()[0]:
         return "numpy"
     try:
-        _get_kernel()
+        for het in {False, heterogeneous}:
+            _get_kernel(_switches(config, het=het))
     except NativeBackendUnavailableError:  # the compiler failed to build it
         return "numpy"
     return "cc"
@@ -514,7 +523,7 @@ class ShardedFleetBackend:
         #: The program every shard runs: ``"cc"`` (the fused C kernel) or
         #: ``"numpy"`` (the vectorized fallback), decided here once and
         #: confirmed by each worker's ``ready`` reply.
-        self.shard_kernel = shard_kernel()
+        self.shard_kernel = shard_kernel(config, heterogeneous=not self._homogeneous)
         self._procs: list = [None] * self.num_workers
         self._conns: list = [None] * self.num_workers
         try:

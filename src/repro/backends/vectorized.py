@@ -38,7 +38,7 @@ from ..fixedpoint import ops
 from ..rtl.lfsr import Lfsr
 from ..rtl.lfsr_batch import LfsrBank
 from ..rtl.rng import DECIMATION
-from .base import BatchStats, check_query, lane_transitions, normalize_fleet
+from .base import BatchStats, check_lane, check_query, lane_transitions, normalize_fleet
 
 _I64 = np.int64
 
@@ -269,9 +269,13 @@ class VectorizedFleetBackend:
         if cfg.behavior_policy == "random":
             self._reduce_into(self._bank_action.draw_all(DECIMATION), A, action)
         else:
-            # SARSA: forwarded action, except at restarts where a fresh
-            # e-greedy draw happens against the *lagged* table view.
-            u = self._bank_policy.draw_where(restart, DECIMATION)
+            # e-greedy: a fresh draw against the *lagged* table view, at
+            # restarts only on-policy (SARSA holds the forwarded action)
+            # and on every sample off-policy.
+            if on_policy:
+                u = self._bank_policy.draw_where(restart, DECIMATION)
+            else:
+                u = self._bank_policy.draw_all(DECIMATION)
             exploit_b = np.less(u, self._egreedy_cut, out=self._m_exploit)
             lag_hit = np.equal(state, self._prev_state, out=self._m_lag)
             ist = np.add(state, self._lane_s_off, out=self._t_is)
@@ -279,8 +283,9 @@ class VectorizedFleetBackend:
             np.copyto(qmax_act, self._prev_qmax_action, where=lag_hit)
             self._reduce_into(u, A, action)  # explore action
             np.copyto(action, qmax_act, where=exploit_b)  # fresh draw
-            held = np.logical_not(restart, out=self._m_tmp)
-            np.copyto(action, self._forwarded, where=held)
+            if on_policy:
+                held = np.logical_not(restart, out=self._m_tmp)
+                np.copyto(action, self._forwarded, where=held)
 
         pair = self._t_pair
         np.multiply(state, _I64(A), out=pair)
@@ -470,8 +475,7 @@ class VectorizedFleetBackend:
         produced them (so the lane's future trajectory is bit-identical
         to a fresh ``FunctionalSimulator`` built with
         ``PolicyDraws.from_config(config, salt=salt)``)."""
-        if not 0 <= k < self.K:
-            raise IndexError(f"lane {k} out of range 0..{self.K - 1}")
+        check_lane(self, k)
         for attr, _, _, init in self._lane_init:
             getattr(self, attr)[k] = init
         cfg = self.config

@@ -130,7 +130,7 @@ def _kernel_tier() -> dict:
 def _sharded_extra() -> dict:
     from ..backends.sharded import shard_kernel
 
-    return {"cpu_count": os.cpu_count(), "kernel": shard_kernel()}
+    return {"cpu_count": os.cpu_count(), "kernel": shard_kernel(_rule_config("qlearning"))}
 
 
 #: The four variants, in snapshot-rendering order.

@@ -475,6 +475,47 @@ def test_bad_query_consumes_no_draw(backend):
             fleet.close()
 
 
+@pytest.mark.parametrize("backend", ["vectorized", "native", "sharded"])
+def test_off_policy_egreedy_behaviour(backend):
+    """E-greedy behaviour with a greedy update (off-policy) draws a fresh
+    behaviour action every sample, like the reference: only on-policy
+    lanes hold a forwarded action, so none may read the unset latch (-1),
+    which numpy would wrap to the last action and C would use as an
+    out-of-bounds table index."""
+    cfg = QTAccelConfig.qlearning(seed=17, behavior_policy="egreedy", qmax_mode="follow")
+    fleet = _build(backend, cfg, k=3)
+    sims = [_reference(cfg, k) for k in range(3)]
+    try:
+        fleet.run(150)
+        for lane, sim in enumerate(sims):
+            sim.run(150)
+            assert _fleet_lane(fleet, lane) == _functional_lane(sim), lane
+        assert _counts(fleet.stats) == tuple(
+            sum(c) for c in zip(*(_counts(sim.stats) for sim in sims))
+        )
+    finally:
+        if hasattr(fleet, "close"):
+            fleet.close()
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "scalar", "native", "sharded"])
+def test_bad_reset_lane_changes_nothing(backend):
+    """``reset_lane`` applies the lane ops' integer rule: a bool, float or
+    out-of-range lane raises IndexError and touches no table, latch or
+    LFSR register of any lane (``True`` would otherwise re-seed lane 1)."""
+    fleet = _build(backend, QTAccelConfig.sarsa(seed=5), k=2)
+    try:
+        fleet.run(20)
+        before = [_fleet_lane(fleet, lane) for lane in range(2)]
+        for k in (True, False, 1.5, np.float64(1.0), 2, -1):
+            with pytest.raises(IndexError):
+                fleet.reset_lane(k, 7)
+            assert [_fleet_lane(fleet, lane) for lane in range(2)] == before, k
+    finally:
+        if hasattr(fleet, "close"):
+            fleet.close()
+
+
 @pytest.mark.parametrize(
     "row",
     [(True, 0, 0.5, 2), (1.5, 0, 0.5, 2), (1, np.float64(1.0), 0.5, 2),

@@ -9,6 +9,11 @@ so the module is skipped on a host without one.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +37,7 @@ from repro.core.policies import PolicyDraws
 from repro.envs.gridworld import GridWorld
 from repro.envs.random_mdp import random_dense_mdp
 from repro.fixedpoint import FxpFormat
+from tests.test_lane_ops import _as_columns, _fleet_lane, _functional_lane
 from tests.test_update_rules import GOLDEN_MOMENTUM, GRID
 
 pytestmark = pytest.mark.skipif(
@@ -226,6 +232,193 @@ def test_narrow_wrap_momentum_matches_vectorized():
     nat.run(400)
     vec.run(400)
     _assert_same_state(nat, vec)
+
+
+# ---------------------------------------------------------------------- #
+# Per-configuration builds: one compiled variant per switch tuple
+# ---------------------------------------------------------------------- #
+
+#: The base of the variant sweep (the benchmark's switches) and, per
+#: build-key switch, a config that flips it.  ``on_policy`` is derived
+#: from the policy pair, so SARSA flips it with both policy switches.
+VARIANT_BASE = {"update_rule": "qlearning", "qmax_mode": "follow"}
+VARIANT_FLIPS = {
+    "rule_kind=momentum": {"update_rule": "momentum_qlearning"},
+    "rule_kind=target": {"update_rule": "target_qlearning", "target_sync_period": 13},
+    "qmax_mode=exact": {"qmax_mode": "exact"},
+    "qmax_mode=monotonic": {"qmax_mode": "monotonic"},
+    "update_greedy": {"update_policy": "egreedy"},
+    "behavior_random": {"behavior_policy": "egreedy"},
+    "on_policy": {"update_rule": "sarsa"},
+    "het": {},
+    "saturate": {"q_format": FxpFormat(10, 4, overflow="wrap")},
+    "nearest": {"q_format": FxpFormat(16, 6, rounding="nearest")},
+}
+HET_WORLDS = [random_dense_mdp(16, 4, seed=s, self_loop_bias=0.5) for s in (50, 51, 52)]
+
+
+def _variant(flip: str):
+    cfg = QTAccelConfig(seed=17, **{**VARIANT_BASE, **VARIANT_FLIPS[flip]})
+    worlds = HET_WORLDS if flip == "het" else [LOOPY] * 3
+    return cfg, worlds
+
+
+def _native_fleet(cfg, worlds):
+    if all(w is worlds[0] for w in worlds):
+        return NativeFleetBackend(worlds[0], cfg, num_agents=len(worlds))
+    return NativeFleetBackend(worlds, cfg)
+
+
+def _drive_against_functional(fleet, sims, ops) -> None:
+    """Apply ``ops`` (``("run", n)`` or ``("learn", k, rows)``) to the
+    fleet and to one functional simulator per lane; after each op every
+    lane's full state, LFSR registers included, must match."""
+    for op in ops:
+        if op[0] == "run":
+            fleet.run(op[1])
+            for sim in sims:
+                sim.run(op[1])
+        else:
+            _, k, rows = op
+            got = fleet.apply_transition(k, *_as_columns(rows))
+            for row in rows:
+                want = sims[k].apply_transition(*row)
+            assert got == want, op
+        for k, sim in enumerate(sims):
+            want = _functional_lane(sim)
+            got = _fleet_lane(fleet, k)
+            assert {key: got[key] for key in want} == want, (op, k)
+    counts = [sum(getattr(sim.stats, f) for sim in sims) for f in ("exploits", "explores", "episodes")]
+    assert [fleet.stats.exploits, fleet.stats.explores, fleet.stats.episodes] == counts
+
+
+def _variant_ops(seed: int):
+    """Runs and learn batches (on a 16-state, 4-action world)."""
+    rng = np.random.default_rng(seed)
+
+    def rows(n: int) -> list:
+        return [
+            (int(rng.integers(16)), int(rng.integers(4)), round(float(rng.uniform(-2, 2)), 3),
+             int(rng.integers(16)), bool(rng.random() < 0.15))
+            for _ in range(n)
+        ]
+
+    return [("run", 90), ("learn", 1, rows(7)), ("run", 33), ("learn", 2, rows(5)), ("run", 1)]
+
+
+def _functional_sims(cfg, worlds):
+    return [
+        FunctionalSimulator(w, cfg, draws=PolicyDraws.from_config(cfg, salt=k))
+        for k, w in enumerate(worlds)
+    ]
+
+
+class TestKernelVariants:
+    def test_flips_cover_every_switch_once(self):
+        """Each flip moves the build key off the base, and together they
+        flip every switch; ``on_policy`` moves only with the policies."""
+        base = native_mod._switches(QTAccelConfig(seed=17, **VARIANT_BASE), het=False)
+        moved = {}
+        for flip in VARIANT_FLIPS:
+            cfg, _ = _variant(flip)
+            key = native_mod._switches(cfg, het=flip == "het")
+            moved[flip] = {
+                name for name, a, b in zip(native_mod._SWITCHES, base, key) if a != b
+            }
+            assert flip.split("=")[0] in moved[flip], flip
+            assert len(moved[flip]) == 1 or flip == "on_policy", (flip, moved[flip])
+        assert set().union(*moved.values()) == set(native_mod._SWITCHES)
+
+    @pytest.mark.parametrize("flip", ["base", *VARIANT_FLIPS])
+    def test_variant_matches_functional(self, flip):
+        """Every build variant, one switch away from the base, retires
+        ``run(n)`` and batched ``apply_transition`` bit for bit like the
+        reference simulator."""
+        if flip == "base":
+            cfg, worlds = QTAccelConfig(seed=17, **VARIANT_BASE), [LOOPY] * 3
+        else:
+            cfg, worlds = _variant(flip)
+        fleet = _native_fleet(cfg, worlds)
+        _drive_against_functional(fleet, _functional_sims(cfg, worlds), _variant_ops(len(flip)))
+
+    def test_two_variants_interleaved_in_one_process(self):
+        """Two differently configured fleets alternate in one process;
+        each keeps its own compiled variant and its trajectory."""
+        configs = [
+            QTAccelConfig.qlearning(seed=61, qmax_mode="follow"),
+            QTAccelConfig.sarsa(
+                seed=62, qmax_mode="exact", q_format=FxpFormat(10, 4, overflow="wrap")
+            ),
+        ]
+        worlds = [LOOPY] * 3
+        fleets = [_native_fleet(cfg, worlds) for cfg in configs]
+        sims = [_functional_sims(cfg, worlds) for cfg in configs]
+        assert fleets[0]._steps_fn is not fleets[1]._steps_fn
+        for seed in range(4):
+            for fleet, lanes in zip(fleets, sims):
+                _drive_against_functional(fleet, lanes, _variant_ops(seed))
+
+    def test_second_construction_builds_and_loads_nothing(self, monkeypatch):
+        """After the first construction of a config, the next one does no
+        compiler lookup, hashing, file-system work, compile or load."""
+        import ctypes
+        import shutil
+
+        cfg = QTAccelConfig.sarsa(seed=3, qmax_mode="monotonic")
+        NativeFleetBackend(GRID, cfg, num_agents=2)
+        loaded = dict(native_mod._KERNELS)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a repeat construction built or loaded a kernel")
+
+        monkeypatch.setattr(native_mod, "_build_library", forbidden)
+        monkeypatch.setattr(ctypes, "CDLL", forbidden)
+        monkeypatch.setattr(shutil, "which", forbidden)
+        fleet = NativeFleetBackend(GRID, cfg, num_agents=4)
+        fleet.run(10)
+        assert native_mod._KERNELS == loaded
+
+    def test_concurrent_first_builds_both_load(self, tmp_path):
+        """Two processes building one fresh variant at once (an empty
+        cache) both load a working kernel: neither compiles or loads the
+        other's half-written source or object."""
+        go = tmp_path / "go"
+        child = (
+            "import os, sys, time\n"
+            "from repro.backends import native\n"
+            "from repro.core.config import QTAccelConfig\n"
+            "key = native._switches(QTAccelConfig.target_q(seed=1, qmax_mode='exact'), het=True)\n"
+            "open(sys.argv[1], 'w').close()\n"
+            "while not os.path.exists(sys.argv[2]):\n"
+            "    time.sleep(0.001)\n"
+            "native._get_kernel(key)\n"
+        )
+        cache = tmp_path / "tmp"
+        cache.mkdir()
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, TMPDIR=str(cache), PYTHONPATH=src)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", child, str(tmp_path / f"ready{i}"), str(go)],
+                env=env, stderr=subprocess.PIPE, text=True,
+            )
+            for i in range(2)
+        ]
+        try:
+            deadline = time.monotonic() + 60
+            while not all((tmp_path / f"ready{i}").exists() for i in range(2)):
+                assert time.monotonic() < deadline, "children never got ready"
+                assert all(p.poll() is None for p in procs), "a child died early"
+                time.sleep(0.005)
+            go.touch()
+            errors = [p.communicate(timeout=120)[1] for p in procs]
+        finally:
+            for p in procs:
+                if p.poll() is None:
+                    p.kill()
+        assert [p.returncode for p in procs] == [0, 0], errors
+        (built,) = list(cache.iterdir())
+        assert [f.suffix for f in built.iterdir()] == [".so"]
 
 
 # ---------------------------------------------------------------------- #
