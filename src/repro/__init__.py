@@ -43,7 +43,7 @@ fleets) are all constructed through one facade — see ``docs/api.md``::
     from repro import make_engine
 
     sim = make_engine(config, mdp=mdp)                       # functional
-    fleet = make_engine(config, engine="batch", mdps=mdp, num_agents=256)
+    fleet = make_engine(config, engine="vectorized", mdps=mdp, num_agents=256)
 """
 
 __version__ = "0.1.0"

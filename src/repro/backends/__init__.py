@@ -4,7 +4,7 @@
 four interchangeable backends (see :mod:`repro.backends.base` for the
 shared :class:`FleetBackend` surface):
 
-* ``"vectorized"`` (default) — :class:`VectorizedFleetBackend`, lanes
+* ``"vectorized"`` — :class:`VectorizedFleetBackend`, lanes
   as numpy array programs (the software analogue of Fig. 9's replicated
   pipelines; 1-2 orders of magnitude faster);
 * ``"scalar"`` — :class:`ScalarFleetBackend`, a pure-Python loop of
@@ -19,25 +19,20 @@ shared :class:`FleetBackend` surface):
 * ``"native"`` — :class:`NativeFleetBackend`, the whole lock-step
   program fused into one C kernel pass per chunk of steps, compiled at
   first use; raises :class:`NativeBackendUnavailableError` when no C
-  compiler exists (see :func:`fleet_backend_availability`).
+  compiler exists (probe with :func:`native_available`).
 
 All are bit-identical per lane to a scalar
 :class:`~repro.core.functional.FunctionalSimulator` with the same salt.
-Select one via :func:`make_fleet_backend`,
-``BatchIndependentSimulator(..., backend=...)`` or
-``repro.make_engine(..., engine="batch"|"vectorized"|"sharded"|"native")``.
+Build one with ``repro.make_engine(config, engine=<name>, mdps=...)``;
+the names are the fleet part of :data:`repro.ENGINE_KINDS`.
 """
 
 from .base import (
     BatchStats,
     FleetBackend,
     FleetSpec,
-    fleet_backend_availability,
-    fleet_backends,
     lane_transitions,
-    make_fleet_backend,
     normalize_fleet,
-    resolve_fleet_backend,
 )
 from .native import (
     NativeBackendUnavailableError,
@@ -57,11 +52,7 @@ __all__ = [
     "ScalarFleetBackend",
     "ShardedFleetBackend",
     "VectorizedFleetBackend",
-    "fleet_backend_availability",
-    "fleet_backends",
     "lane_transitions",
-    "make_fleet_backend",
     "native_available",
     "normalize_fleet",
-    "resolve_fleet_backend",
 ]

@@ -28,10 +28,9 @@ fixed-point arithmetic included (asserted by the test suite) — so the
 backend choice is purely a throughput decision.
 
 This module owns what the implementations share: the fleet-environment
-normalisation/validation, the :class:`BatchStats` counters, the
-:class:`FleetBackend` protocol, and the name registry behind
-``BatchIndependentSimulator(..., backend=...)`` and
-:func:`repro.core.engine.make_engine`.
+normalisation/validation, the :class:`BatchStats` counters and the
+:class:`FleetBackend` protocol.  Engines are named and built by
+:func:`repro.core.engine.make_engine` alone.
 """
 
 from __future__ import annotations
@@ -311,74 +310,3 @@ class FleetBackend(Protocol):
     ) -> int: ...
 
     def query_action(self, k: int, state: int, explore: bool = True) -> int: ...
-
-
-def fleet_backends() -> dict[str, type]:
-    """Name -> class registry of the known fleet backends.
-
-    Registration is unconditional — constructing ``"native"`` on a host
-    with no compiled kernel tier raises a typed
-    :class:`~repro.backends.native.NativeBackendUnavailableError`; use
-    :func:`fleet_backend_availability` to probe without constructing.
-    """
-    from .native import NativeFleetBackend
-    from .scalar import ScalarFleetBackend
-    from .sharded import ShardedFleetBackend
-    from .vectorized import VectorizedFleetBackend
-
-    return {
-        "vectorized": VectorizedFleetBackend,
-        "scalar": ScalarFleetBackend,
-        "sharded": ShardedFleetBackend,
-        "native": NativeFleetBackend,
-    }
-
-
-def fleet_backend_availability() -> dict[str, dict]:
-    """Per-backend availability report, ``name -> {available, detail}``.
-
-    The pure-Python/numpy backends are always available; ``"native"``
-    needs a system C compiler to build its fused kernel.
-    """
-    from .native import native_available
-
-    report = {
-        name: {"available": True, "detail": ""}
-        for name in ("vectorized", "scalar", "sharded")
-    }
-    ok, detail = native_available()
-    report["native"] = {"available": ok, "detail": detail}
-    return report
-
-
-def resolve_fleet_backend(name: str) -> type:
-    """Look one backend class up by name, with a helpful error."""
-    registry = fleet_backends()
-    try:
-        return registry[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fleet backend {name!r}; choose one of {sorted(registry)}"
-        ) from None
-
-
-def make_fleet_backend(
-    mdps: "DenseMdp | Sequence[DenseMdp]",
-    config: "QTAccelConfig",
-    *,
-    backend: str = "vectorized",
-    num_agents: int | None = None,
-    salts: Sequence[int] | None = None,
-    telemetry=None,
-    **kw,
-) -> FleetBackend:
-    """Construct a fleet backend by name (the functional entry point).
-
-    Extra keyword arguments forward to the chosen backend's constructor
-    — e.g. ``num_workers=`` for ``"sharded"`` — matching the batch
-    facade and ``make_engine``.
-    """
-    cls = resolve_fleet_backend(backend)
-    return cls(
-        mdps, config, num_agents=num_agents, salts=salts, telemetry=telemetry, **kw
-    )

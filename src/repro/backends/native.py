@@ -84,8 +84,7 @@ class NativeBackendUnavailableError(ImportError):
     """No C compiler is available to build the fused kernel.
 
     Raised by :class:`NativeFleetBackend` (and therefore by
-    ``make_engine(engine="native")`` and
-    ``make_fleet_backend(backend="native")``) instead of a bare
+    ``make_engine(engine="native")``) instead of a bare
     :class:`ImportError`.
     """
 

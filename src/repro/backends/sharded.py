@@ -40,8 +40,8 @@ produces the same per-lane trajectories as ``VectorizedFleetBackend``
 
 Execution proceeds in *sync epochs* of ``epoch`` lock-step samples:
 the parent broadcasts one ``run`` command per worker, collects per-
-worker stat deltas, refreshes the aggregate :class:`BatchStats`, takes
-a :class:`~repro.robustness.checkpoint.CheckpointStore` snapshot every
+worker stat deltas, refreshes the aggregate :class:`BatchStats`, replaces
+its one recovery checkpoint (a full ``state_dict()``) every
 ``checkpoint_interval`` epochs, and pulses the ambient telemetry
 session.  A worker that dies mid-epoch (crash, OOM-kill,
 :meth:`ShardedFleetBackend.kill_worker` in the tests) is recovered
@@ -442,7 +442,6 @@ class ShardedFleetBackend:
         num_workers: int | None = None,
         epoch: int = 256,
         checkpoint_interval: int = 1,
-        store=None,
         max_worker_restarts: int = 2,
         mp_context: str = "spawn",
         debug_fail_workers: Sequence[int] = (),
@@ -541,11 +540,6 @@ class ShardedFleetBackend:
             self.close()
             raise
 
-        if store is None:
-            from ..robustness.checkpoint import CheckpointStore
-
-            store = CheckpointStore(capacity=4)
-        self.store = store
         self._last_ckpt: dict | None = None
         #: A parent-side lane write since ``_last_ckpt`` was taken.
         self._ckpt_stale = False
@@ -927,10 +921,8 @@ class ShardedFleetBackend:
         st.explores = base.explores + sum(c[2] for c in self._worker_cum)
 
     def _take_checkpoint(self) -> None:
-        state = self.state_dict()
-        self.store.push(("epoch", self._epochs_done), state)
         self._last_ckpt = {
-            "state": state,
+            "state": self.state_dict(),
             "worker_cum": [list(c) for c in self._worker_cum],
             "samples_per_agent": self.stats.samples_per_agent,
         }

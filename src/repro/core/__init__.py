@@ -25,7 +25,7 @@ from .metrics import (
     q_rmse,
     success_rate,
 )
-from .batch import BatchIndependentSimulator, BatchStats
+from ..backends.base import BatchStats
 from .prob_policy import (
     BoltzmannSimulator,
     BoltzmannStats,
@@ -97,7 +97,6 @@ __all__ = [
     "Ucb1Accelerator",
     "BanditRunStats",
     "bandit_cycles_per_sample",
-    "BatchIndependentSimulator",
     "BatchStats",
     "BoltzmannSimulator",
     "BoltzmannStats",

@@ -1,13 +1,8 @@
 """Unified engine construction: :func:`make_engine` and the :class:`Engine` protocol.
 
-The repo grew six ways to run the QTAccel update loop — the
-cycle-accurate pipeline, the bit-identical functional fast path, the
-lane-stacked fleet simulator, the raw vectorized fleet backend, the
-multi-core sharded fleet backend, and the native fused-kernel
-backend.  They share the same execution
-contract but historically each had its own constructor spelling.  :func:`make_engine` is the single documented
-entry point (see ``docs/api.md``); everything it returns satisfies
-:class:`Engine`:
+:func:`make_engine` is the one way to name and build a QTAccel engine
+(see ``docs/api.md``), and :data:`ENGINE_KINDS` is the one list of
+engine names.  Everything it returns satisfies :class:`Engine`:
 
 * ``run(num_samples)`` — advance the engine, returning its stats;
 * ``state_dict()`` / ``load_state_dict(state)`` — full architectural
@@ -26,26 +21,27 @@ Engine kinds
                         (default; sequential semantics, fastest scalar path)
 ``"pipeline"``          :class:`~repro.core.pipeline.QTAccelPipeline`
                         (cycle-accurate 4-stage pipeline)
-``"batch"``             :class:`~repro.core.batch.BatchIndependentSimulator`
-                        (fleet facade; pass ``backend="vectorized"|"scalar"``)
+``"scalar"``            :class:`~repro.backends.scalar.ScalarFleetBackend`
+                        (a Python loop of per-lane functional simulators;
+                        the reference fleet)
 ``"vectorized"``        :class:`~repro.backends.vectorized.VectorizedFleetBackend`
-                        (the numpy array program, addressed directly)
-``"sharded"``           :class:`~repro.backends.sharded.ShardedFleetBackend`
-                        (lane shards across ``num_workers`` processes over
-                        shared memory; remember to ``close()`` it)
+                        (the numpy lock-step array program)
 ``"native"``            :class:`~repro.backends.native.NativeFleetBackend`
                         (the lock-step program fused into one compiled
                         C kernel pass, compiled at first use; raises a typed
                         :class:`~repro.backends.native.NativeBackendUnavailableError`
                         when no C compiler exists)
+``"sharded"``           :class:`~repro.backends.sharded.ShardedFleetBackend`
+                        (lane shards across ``num_workers`` processes over
+                        shared memory; remember to ``close()`` it)
 ======================  ====================================================
 
-Scalar engines (``functional``/``pipeline``) take one ``mdp``; fleet
-engines (``batch``/``vectorized``/``sharded``) take ``mdps`` — a single
-shared world plus ``num_agents``, or a sequence of same-shaped worlds.  Either
-keyword is accepted for either kind (a lone world is a fleet of one
-description; a one-element fleet spec is a world), so callers can write
-``make_engine(cfg, mdp=world, engine="batch", num_agents=64)``.
+Scalar engines (``functional``/``pipeline``) take one ``mdp``; the fleet
+engines (:data:`FLEET_KINDS`) take ``mdps`` — a single shared world plus
+``num_agents``, or a sequence of same-shaped worlds.  Either keyword is
+accepted for either kind (a lone world is a fleet of one description; a
+one-element fleet spec is a world), so callers can write
+``make_engine(cfg, mdp=world, engine="vectorized", num_agents=64)``.
 
 Update rules
 ------------
@@ -53,7 +49,7 @@ Update rules
 Every engine kind honours ``config.update_rule`` (see
 :mod:`repro.algorithms`): plain Q-Learning/SARSA plus the accelerated
 ``momentum_qlearning`` and ``target_qlearning`` rules run bit-identically
-across all five kinds.  Rule errors are typed and raised as early as
+across every kind.  Rule errors are typed and raised as early as
 possible: an unknown name or an incompatible policy combination fails at
 ``QTAccelConfig`` construction
 (:class:`~repro.algorithms.UnknownUpdateRuleError`,
@@ -73,10 +69,13 @@ from typing import Any, Optional, Protocol, Sequence, runtime_checkable
 from ..envs.base import DenseMdp
 from .config import QTAccelConfig
 
-__all__ = ["Engine", "ENGINE_KINDS", "make_engine"]
+__all__ = ["Engine", "ENGINE_KINDS", "FLEET_KINDS", "make_engine"]
 
 #: Recognised ``engine=`` spellings, in documentation order.
-ENGINE_KINDS = ("functional", "pipeline", "batch", "vectorized", "sharded", "native")
+ENGINE_KINDS = ("functional", "pipeline", "scalar", "vectorized", "native", "sharded")
+
+#: The fleet kinds: every engine after the two single-world ones.
+FLEET_KINDS = ENGINE_KINDS[2:]
 
 
 @runtime_checkable
@@ -130,7 +129,7 @@ def _scalar_world(
         if len(seq) != 1:
             raise TypeError(
                 f"make_engine(engine={engine!r}) runs a single world; got "
-                f"{len(seq)} mdps — use engine='batch' or 'vectorized' for fleets"
+                f"{len(seq)} mdps — use a fleet engine {FLEET_KINDS} for fleets"
             )
         world = seq[0]
     return world
@@ -149,12 +148,11 @@ def make_engine(
     Extra keyword arguments pass through to the chosen constructor —
     e.g. ``behavior_lag=``/``draws=`` for ``"functional"``,
     ``stage2_latency=``/``telemetry=`` for ``"pipeline"``,
-    ``num_agents=``/``salts=``/``backend=``/``telemetry=`` for the fleet
-    kinds, plus ``num_workers=``/``epoch=``/``checkpoint_interval=`` for
-    ``"sharded"``.
+    ``num_agents=``/``salts=``/``telemetry=`` for the fleet kinds, plus
+    ``num_workers=``/``epoch=``/``checkpoint_interval=`` for ``"sharded"``.
 
     >>> sim = make_engine(QTAccelConfig.qlearning(), mdp=world)
-    >>> fleet = make_engine(cfg, engine="batch", mdps=world, num_agents=256)
+    >>> fleet = make_engine(cfg, engine="vectorized", mdps=world, num_agents=256)
     """
     if not isinstance(config, QTAccelConfig):
         raise TypeError(
@@ -169,22 +167,22 @@ def make_engine(
         from .pipeline import QTAccelPipeline
 
         return QTAccelPipeline(_scalar_world(engine, mdp, mdps), config, **kw)
-    if engine == "batch":
-        from .batch import BatchIndependentSimulator
+    if engine == "scalar":
+        from ..backends.scalar import ScalarFleetBackend
 
-        return BatchIndependentSimulator(_fleet_worlds(engine, mdp, mdps), config, **kw)
+        return ScalarFleetBackend(_fleet_worlds(engine, mdp, mdps), config, **kw)
     if engine == "vectorized":
         from ..backends.vectorized import VectorizedFleetBackend
 
         return VectorizedFleetBackend(_fleet_worlds(engine, mdp, mdps), config, **kw)
-    if engine == "sharded":
-        from ..backends.sharded import ShardedFleetBackend
-
-        return ShardedFleetBackend(_fleet_worlds(engine, mdp, mdps), config, **kw)
     if engine == "native":
         from ..backends.native import NativeFleetBackend
 
         return NativeFleetBackend(_fleet_worlds(engine, mdp, mdps), config, **kw)
+    if engine == "sharded":
+        from ..backends.sharded import ShardedFleetBackend
+
+        return ShardedFleetBackend(_fleet_worlds(engine, mdp, mdps), config, **kw)
     raise ValueError(
         f"engine: unknown value {engine!r}; choose one of {ENGINE_KINDS}"
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..core.engine import FLEET_KINDS
 from .bench import BENCH_CASES, measure_stage_attribution, overhead_ratios, run_bench
 from .compare import DEFAULT_K, DEFAULT_REL_TOL, compare_snapshots, render_comparison
 from .fleet import (
@@ -358,9 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     p_serve = sub.add_parser(
         "serve", help="session-gateway saturation bench (sessions/sec, act p99)"
     )
-    p_serve.add_argument(
-        "--engine", default="vectorized", choices=("vectorized", "scalar", "sharded")
-    )
+    p_serve.add_argument("--engine", default="vectorized", choices=FLEET_KINDS)
     p_serve.add_argument("--lanes", type=int, default=32)
     p_serve.add_argument("--concurrency", type=int, default=8, help="client threads")
     p_serve.add_argument("--sessions", type=int, default=48, help="session workloads")

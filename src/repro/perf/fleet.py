@@ -66,7 +66,7 @@ WORKER_COUNTS = (1, 2, 4)
 class Side:
     """One engine of a sweep and its per-repeat update budget."""
 
-    engine: str  # a :func:`repro.backends.base.fleet_backends` name
+    engine: str  # a fleet kind of :data:`repro.core.engine.ENGINE_KINDS`
     budget: int  # updates per repeat, across lanes
     step_cap: int  # per-lane step ceiling
 
@@ -122,9 +122,9 @@ class Sweep:
 
 
 def _kernel_tier() -> dict:
-    from ..backends.base import resolve_fleet_backend
+    from ..backends.native import NativeFleetBackend
 
-    return {"kernel": resolve_fleet_backend("native").kernel_tier}
+    return {"kernel": NativeFleetBackend.kernel_tier}
 
 
 def _sharded_extra() -> dict:
@@ -303,7 +303,7 @@ def run_sweep(
     if n_lanes is not None and n_lanes < 1:
         raise ValueError(f"n_lanes must be positive, got {n_lanes}")
 
-    from ..backends.base import make_fleet_backend
+    from ..core.engine import make_engine
 
     mdp, scale = _mdp(), 10 if quick else 1
 
@@ -320,8 +320,8 @@ def run_sweep(
                     # off: the number is steady-state shard throughput.
                     kw.update(epoch=steps, checkpoint_interval=0, mp_context=mp_context)
                 cfg = _rule_config(kw.pop("rule", "qlearning"))
-                eng = make_fleet_backend(
-                    mdp, cfg, backend=side.engine, num_agents=lanes, **kw
+                eng = make_engine(
+                    cfg, engine=side.engine, mdps=mdp, num_agents=lanes, **kw
                 )
                 engines.append((eng, steps))
             return _time_rounds(engines, repeats=repeats, warmup=warmup, clock=clock)

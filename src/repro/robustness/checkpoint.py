@@ -14,7 +14,7 @@ Layers in this module:
 
 * :class:`CheckpointStore` — a bounded ring of recent snapshots;
 * :class:`BatchLanes` / :class:`SimLanes` — adapters giving the fleet
-  engines (:class:`~repro.core.batch.BatchIndependentSimulator`,
+  engines (any :mod:`repro.backends` fleet,
   :class:`~repro.core.multi_pipeline.IndependentPipelines` or any list
   of scalar simulators) one lane-oriented interface;
 * :class:`Watchdog` — a progress monitor that trips after ``patience``
@@ -87,9 +87,9 @@ class CheckpointStore:
 
 
 class BatchLanes:
-    """Lane adapter over a :class:`BatchIndependentSimulator`.
+    """Lane adapter over a fleet backend (:class:`repro.backends.FleetBackend`).
 
-    The batch engine advances all lanes in lock-step, so the rollback
+    The fleet advances all lanes in lock-step, so the rollback
     unit is the whole fleet: restore the checkpoint and re-run the chunk.
     Determinism makes this safe — healthy lanes replay bit-identically,
     and only externally injected corruption (which is *not* part of the

@@ -23,6 +23,7 @@ import logging
 
 from ..backends.sharded import install_signal_cleanup
 from ..core.config import QTAccelConfig
+from ..core.engine import FLEET_KINDS
 from .gateway import Gateway
 from .session import SessionManager, build_serve_backend, default_serve_engine
 
@@ -40,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine", default=default_serve_engine(),
-        choices=("native", "vectorized", "scalar", "sharded"),
+        choices=FLEET_KINDS,
         help="fleet backend (default: native when a C compiler is found, "
         "else vectorized)",
     )

@@ -119,11 +119,6 @@ def build_serve_backend(
         kw["num_workers"] = num_workers
         if mp_context is not None:
             kw["mp_context"] = mp_context
-        return make_engine(config, engine="sharded", mdps=world, **kw)
-    if engine == "scalar":
-        from ..backends.base import make_fleet_backend
-
-        return make_fleet_backend(world, config, backend="scalar", **kw)
     return make_engine(config, engine=engine, mdps=world, **kw)
 
 
@@ -665,19 +660,13 @@ class SessionManager:
         """Roll the session's lane back to ``tag`` (default: latest)."""
         with self._lock, self._span("session.restore"):
             rec = self._get(sid)
-            if tag is None:
-                entry = rec.store.latest()
-                if entry is None:
-                    raise ProtocolError(
-                        E_NO_SESSION, f"session {sid} has no checkpoints"
-                    )
-                tag, state = entry
-            else:
-                state = rec.store.get(tag)
-                if state is None:
-                    raise ProtocolError(
-                        E_NO_SESSION, f"session {sid} has no checkpoint {tag!r}"
-                    )
+            try:
+                if tag is None:
+                    tag, state = rec.store.latest()
+                else:
+                    state = rec.store.get(tag)
+            except LookupError as exc:
+                raise ProtocolError(E_NO_SESSION, f"session {sid}: {exc}") from None
             self.backend.load_lane_state(rec.lane, state)
             # The restored snapshot becomes the new journal base so a
             # later crash recovery replays from here, not from before
@@ -817,16 +806,16 @@ class SessionManager:
         """
         with self._lock, self._span("session.failover"):
             old = self.backend
-            from ..backends.base import make_fleet_backend
+            from ..core.engine import make_engine
 
             if getattr(old, "_homogeneous", True):
                 worlds, num_agents = old.mdps[0], old.K
             else:  # pragma: no cover - serve fleets are homogeneous
                 worlds, num_agents = list(old.mdps), None
-            new = make_fleet_backend(
-                worlds,
+            new = make_engine(
                 old.config,
-                backend="vectorized",
+                engine="vectorized",
+                mdps=worlds,
                 num_agents=num_agents,
                 salts=getattr(old, "_salts", None),
                 telemetry=self._telemetry,

@@ -21,16 +21,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro import make_engine
 from repro.backends import (
     FleetBackend,
     ScalarFleetBackend,
     ShardedFleetBackend,
     VectorizedFleetBackend,
-    fleet_backends,
-    make_fleet_backend,
-    resolve_fleet_backend,
 )
-from repro.core.batch import BatchIndependentSimulator
 from repro.core.config import QTAccelConfig
 from repro.core.functional import FunctionalSimulator
 from repro.core.policies import PolicyDraws
@@ -177,7 +174,7 @@ _CORRUPTION_CHILD = textwrap.dedent(
     """
     import copy, json, sys
     import numpy as np
-    from repro.backends import make_fleet_backend
+    from repro import make_engine
     from repro.core.config import QTAccelConfig
     from repro.envs.gridworld import GridWorld
 
@@ -206,8 +203,8 @@ _CORRUPTION_CHILD = textwrap.dedent(
 
     out = {}
     for cfg in (QTAccelConfig.qlearning(seed=1), QTAccelConfig.target_q(seed=1)):
-        fleet = make_fleet_backend(world, cfg, backend=backend, num_agents=2, **kw)
-        ref = make_fleet_backend(world, cfg, backend="vectorized", num_agents=2)
+        fleet = make_engine(cfg, engine=backend, mdps=world, num_agents=2, **kw)
+        ref = make_engine(cfg, engine="vectorized", mdps=world, num_agents=2)
         fleet.run(3)
         ref.run(3)
         clean, clean_lane = fleet.state_dict(), fleet.lane_state(0)
@@ -267,41 +264,21 @@ class TestCorruptCheckpoint:
 
 
 class TestRegistryAndDispatch:
-    def test_registry_names(self):
-        assert set(fleet_backends()) == {"native", "scalar", "sharded", "vectorized"}
-
-    def test_resolve_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown fleet backend 'nope'"):
-            resolve_fleet_backend("nope")
-
-    def test_make_fleet_backend(self):
-        cfg = QTAccelConfig.qlearning(seed=1)
-        vec = make_fleet_backend(GRID, cfg, num_agents=2)
-        sc = make_fleet_backend(GRID, cfg, backend="scalar", num_agents=2)
-        assert isinstance(vec, VectorizedFleetBackend)
-        assert isinstance(sc, ScalarFleetBackend)
-        assert isinstance(vec, FleetBackend) and isinstance(sc, FleetBackend)
-
-    def test_batch_facade_dispatches(self):
-        cfg = QTAccelConfig.qlearning(seed=1)
-        default = BatchIndependentSimulator(GRID, cfg, num_agents=2)
-        scalar = BatchIndependentSimulator(GRID, cfg, num_agents=2, backend="scalar")
-        assert isinstance(default, VectorizedFleetBackend)
-        assert isinstance(scalar, ScalarFleetBackend)
-        with pytest.raises(ValueError, match="unknown fleet backend"):
-            BatchIndependentSimulator(GRID, cfg, num_agents=2, backend="gpu")
-
     def test_stats_contract(self):
         cfg = QTAccelConfig.qlearning(seed=1)
-        fleet = make_fleet_backend(GRID, cfg, num_agents=2)
-        fleet.run(10)
-        d = fleet.stats.as_dict()
-        assert d["samples"] == 20
-        assert d["cycles"] is None
-        assert fleet.stats.samples == 20
+        for kind in ("vectorized", "scalar"):
+            fleet = make_engine(cfg, engine=kind, mdps=GRID, num_agents=2)
+            assert isinstance(fleet, FleetBackend)
+            fleet.run(10)
+            d = fleet.stats.as_dict()
+            assert d["samples"] == 20
+            assert d["cycles"] is None
+            assert fleet.stats.samples == 20
 
     def test_total_samples_is_a_snapshot_key_only(self):
-        fleet = make_fleet_backend(GRID, QTAccelConfig.qlearning(seed=1), num_agents=2)
+        fleet = make_engine(
+            QTAccelConfig.qlearning(seed=1), engine="vectorized", mdps=GRID, num_agents=2
+        )
         fleet.run(5)
         assert not hasattr(fleet.stats, "total_samples")
         assert fleet.telemetry_snapshot()["total_samples"] == fleet.stats.samples == 10
@@ -479,22 +456,15 @@ class TestShardedCheckpointAndRecovery:
 
 class TestShardedDispatchAndLifecycle:
     def test_facade_and_engine_dispatch(self):
-        from repro.core.engine import make_engine
-
         cfg = QTAccelConfig.qlearning(seed=2)
-        via_batch = BatchIndependentSimulator(
-            GRID, cfg, num_agents=2, backend="sharded", num_workers=2, mp_context="fork"
-        )
         via_engine = make_engine(
             cfg, engine="sharded", mdp=GRID, num_agents=2, num_workers=2,
             mp_context="fork",
         )
         try:
-            assert isinstance(via_batch, ShardedFleetBackend)
             assert isinstance(via_engine, ShardedFleetBackend)
-            assert isinstance(via_batch, FleetBackend)
+            assert isinstance(via_engine, FleetBackend)
         finally:
-            via_batch.close()
             via_engine.close()
 
     def test_profiles_as_one_sharded_engine(self):

@@ -12,12 +12,14 @@ from repro.backends import (
     ShardedFleetBackend,
     VectorizedFleetBackend,
 )
-from repro.core.batch import BatchIndependentSimulator, BatchStats
+from repro.core import BatchStats
 from repro.core.config import QTAccelConfig
+from repro.core.engine import FLEET_KINDS
 from repro.core.functional import FunctionalSimulator
 from repro.core.multi_pipeline import IndependentPipelinesCycle, IndependentRunStats
 from repro.core.pipeline import QTAccelPipeline
 from repro.envs.gridworld import GridWorld
+from repro.serve.__main__ import build_parser as build_serve_parser
 
 MDP = GridWorld.random(8, 4, obstacle_density=0.1, seed=4).to_mdp()
 CFG = QTAccelConfig.qlearning(seed=6, qmax_mode="follow")
@@ -26,15 +28,18 @@ CFG = QTAccelConfig.qlearning(seed=6, qmax_mode="follow")
 class TestMakeEngine:
     def test_kinds_registry(self):
         assert ENGINE_KINDS == (
-            "functional", "pipeline", "batch", "vectorized", "sharded", "native"
+            "functional", "pipeline", "scalar", "vectorized", "native", "sharded"
         )
+        assert FLEET_KINDS == ENGINE_KINDS[2:]
+        (engine,) = [a for a in build_serve_parser()._actions if a.dest == "engine"]
+        assert tuple(engine.choices) == FLEET_KINDS
 
     @pytest.mark.parametrize(
         "kind,cls,kw",
         [
             ("functional", FunctionalSimulator, {}),
             ("pipeline", QTAccelPipeline, {}),
-            ("batch", BatchIndependentSimulator, {"num_agents": 3}),
+            ("scalar", ScalarFleetBackend, {"num_agents": 3}),
             ("vectorized", VectorizedFleetBackend, {"num_agents": 3}),
             (
                 "sharded",
@@ -59,10 +64,15 @@ class TestMakeEngine:
         assert isinstance(make_engine(CFG, mdp=MDP), FunctionalSimulator)
 
     def test_fleet_backend_passthrough(self):
-        scalar = make_engine(
-            CFG, engine="batch", mdps=MDP, num_agents=2, backend="scalar"
-        )
+        scalar = make_engine(CFG, engine="scalar", mdps=MDP, num_agents=2, salts=[7, 9])
+        vec = make_engine(CFG, engine="vectorized", mdps=MDP, num_agents=2, salts=[7, 9])
         assert isinstance(scalar, ScalarFleetBackend)
+        scalar.run(50)
+        vec.run(50)
+        assert np.array_equal(scalar.q, vec.q)
+        # The fleet kind is the engine name; there is no backend= selector.
+        with pytest.raises(TypeError, match="backend"):
+            make_engine(CFG, engine="vectorized", mdps=MDP, num_agents=2, backend="scalar")
 
     def test_matches_direct_construction(self):
         a = make_engine(CFG, mdp=MDP)
@@ -109,7 +119,7 @@ class TestRunStatsContract:
         assert pipe.stats.samples == 30
 
     def test_batch_stats(self):
-        fleet = make_engine(CFG, engine="batch", mdps=MDP, num_agents=4)
+        fleet = make_engine(CFG, engine="vectorized", mdps=MDP, num_agents=4)
         fleet.run(25)
         d = fleet.stats.as_dict()
         assert d["samples"] == 100 == fleet.stats.samples

@@ -17,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.backends.base import make_fleet_backend
+from repro import make_engine
 from repro.backends.sharded import ShardedFleetBackend
 from repro.backends.vectorized import VectorizedFleetBackend
 from repro.core.config import QTAccelConfig
@@ -42,7 +42,7 @@ def _build(backend: str, config, k: int):
             WORLD, config, num_agents=k, num_workers=2, mp_context="fork"
         )
     if backend == "scalar":
-        return make_fleet_backend(WORLD, config, backend="scalar", num_agents=k)
+        return make_engine(config, engine="scalar", mdps=WORLD, num_agents=k)
     if backend == "native":
         from repro.backends.native import NativeFleetBackend, _find_compiler
 

@@ -24,14 +24,11 @@ from repro.backends import (
     NativeBackendUnavailableError,
     NativeFleetBackend,
     VectorizedFleetBackend,
-    fleet_backend_availability,
-    fleet_backends,
-    make_fleet_backend,
+    native_available,
 )
 from repro.backends import native as native_mod
-from repro.core.batch import BatchIndependentSimulator
 from repro.core.config import QTAccelConfig
-from repro.core.engine import make_engine
+from repro.core.engine import FLEET_KINDS, make_engine
 from repro.core.functional import FunctionalSimulator
 from repro.core.policies import PolicyDraws
 from repro.envs.gridworld import GridWorld
@@ -92,25 +89,15 @@ def _assert_same_state(native, vec) -> None:
 
 class TestRegistryAndDispatch:
     def test_registry_has_native(self):
-        assert "native" in fleet_backends()
-        assert fleet_backends()["native"] is NativeFleetBackend
-
-    def test_availability_report(self):
-        rep = fleet_backend_availability()
-        assert set(rep) == {"native", "scalar", "sharded", "vectorized"}
-        for name in ("scalar", "sharded", "vectorized"):
-            assert rep[name]["available"] is True
-        assert isinstance(rep["native"]["available"], bool)
-        assert isinstance(rep["native"]["detail"], str)
+        assert "native" in FLEET_KINDS
+        ok, detail = native_available()
+        assert ok is True and isinstance(detail, str)
 
     def test_make_engine_and_facade_dispatch(self):
         cfg = QTAccelConfig.qlearning(seed=1)
         eng = make_engine(cfg, engine="native", mdp=GRID, num_agents=2)
-        fab = make_fleet_backend(GRID, cfg, backend="native", num_agents=2)
-        bat = BatchIndependentSimulator(GRID, cfg, num_agents=2, backend="native")
-        for built in (eng, fab, bat):
-            assert isinstance(built, NativeFleetBackend)
-            assert isinstance(built, FleetBackend)
+        assert isinstance(eng, NativeFleetBackend)
+        assert isinstance(eng, FleetBackend)
         eng.run(16)
         assert eng.stats.samples == 32
 
@@ -123,7 +110,7 @@ class TestRegistryAndDispatch:
                 QTAccelConfig.qlearning(seed=1), engine="native", mdp=GRID,
                 num_agents=1,
             )
-        assert fleet_backend_availability()["native"]["available"] is False
+        assert native_available()[0] is False
 
     def test_kernel_has_a_tag_for_every_rule_kind(self):
         """``rule.kind`` is the kernel's only rule key: every kind a rule

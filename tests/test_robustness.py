@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import BatchIndependentSimulator
+from repro import make_engine
 from repro.core.config import QTAccelConfig
 from repro.core.functional import FunctionalSimulator
 from repro.core.pipeline import QTAccelPipeline
@@ -532,10 +532,10 @@ class TestCheckpointDeterminism:
     def test_batch_restore_is_bit_identical(self):
         mdp = _mdp()
         cfg = _cfg()
-        ref = BatchIndependentSimulator(mdp, cfg, num_agents=4)
+        ref = make_engine(cfg, engine="vectorized", mdps=mdp, num_agents=4)
         ref.run(300)
 
-        sim = BatchIndependentSimulator(mdp, cfg, num_agents=4)
+        sim = make_engine(cfg, engine="vectorized", mdps=mdp, num_agents=4)
         sim.run(120)
         snap = sim.state_dict()
         sim.run(180)
@@ -546,7 +546,7 @@ class TestCheckpointDeterminism:
 
     def test_batch_single_lane_restore(self):
         mdp = _mdp()
-        sim = BatchIndependentSimulator(mdp, _cfg(), num_agents=3)
+        sim = make_engine(_cfg(), engine="vectorized", mdps=mdp, num_agents=3)
         sim.run(100)
         snap = sim.state_dict()
         lane1 = sim.lane_state(1, snap)
@@ -684,10 +684,10 @@ class TestFleetSupervisor:
     def test_batch_lanes_rollback(self):
         mdp = _mdp()
         cfg = _cfg()
-        ref = BatchIndependentSimulator(mdp, cfg, num_agents=3)
+        ref = make_engine(cfg, engine="vectorized", mdps=mdp, num_agents=3)
         ref.run(128)
 
-        sim = BatchIndependentSimulator(mdp, cfg, num_agents=3)
+        sim = make_engine(cfg, engine="vectorized", mdps=mdp, num_agents=3)
         lanes = BatchLanes(sim)
 
         def poison(attempt, chunk):
@@ -700,7 +700,7 @@ class TestFleetSupervisor:
         assert np.array_equal(sim.q, ref.q)
 
     def test_batch_lane_health_detects_invariant_break(self):
-        sim = BatchIndependentSimulator(_mdp(), _cfg(), num_agents=2)
+        sim = make_engine(_cfg(), engine="vectorized", mdps=_mdp(), num_agents=2)
         sim.run(64)
         lanes = BatchLanes(sim)
         assert lanes.lane_health(0)

@@ -268,6 +268,27 @@ class TestSessionManager:
         _apply_via_manager(manager, rec.sid, post)
         assert manager.q_row(rec.sid) == _ref_table(config, rec.salt, pre + post)
 
+    def test_restore_missing_checkpoint_is_no_session(self):
+        """Restoring a session with no checkpoint, or an unknown tag, is a
+        typed ``no_session`` refusal that leaves the lane untouched."""
+        manager = SessionManager(_backend(lanes=1))
+        rec = manager.open()
+        _apply_via_manager(manager, rec.sid, _random_stream(random.Random(8), 15))
+
+        def assert_refused(tag):
+            before = manager.backend.lane_state(rec.lane)
+            depth = manager.stats(rec.sid)["journal_depth"]
+            with pytest.raises(ProtocolError) as exc:
+                manager.restore(rec.sid, tag)
+            assert exc.value.code == E_NO_SESSION
+            assert _lane_states_equal(manager.backend.lane_state(rec.lane), before)
+            assert manager.stats(rec.sid)["journal_depth"] == depth
+
+        assert_refused(None)  # no checkpoint yet
+        manager.checkpoint(rec.sid, "mark")
+        _apply_via_manager(manager, rec.sid, _random_stream(random.Random(9), 5))
+        assert_refused("nope")  # unknown tag
+
     def test_journal_rebase_caps_depth(self):
         manager = SessionManager(_backend(lanes=1), checkpoint_every=8)
         rec = manager.open()
@@ -527,6 +548,27 @@ class TestGateway:
             assert sess.table() == at_tag
             ops = [("learn",) + r for r in rows]
             assert sess.table() == _ref_table(config, sess.salt, ops)
+            sess.close()
+
+    def test_restore_missing_checkpoint_over_wire(self, served):
+        """Over the wire the same refusals reply ``no_session`` (not
+        ``internal``) and the session keeps its table."""
+        gateway, _ = served
+        with ServeClient(port=gateway.port) as client:
+            sess = client.open_session()
+
+            def assert_refused(tag):
+                table = sess.table()
+                with pytest.raises(ServeError) as exc:
+                    sess.restore(tag)
+                assert exc.value.code == E_NO_SESSION
+                assert sess.table() == table
+
+            sess.learn(1, 2, 0.5, 3)
+            assert_refused(None)  # no checkpoint yet
+            sess.checkpoint("mark")
+            sess.learn(4, 1, -1.0, 5)
+            assert_refused("nope")  # unknown tag
             sess.close()
 
     @pytest.mark.parametrize("served", ENGINES, indirect=True)

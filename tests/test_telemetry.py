@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro import make_engine
 from repro.core.config import QTAccelConfig
 from repro.core.pipeline import PipelineStats, QTAccelPipeline
 from repro.envs.gridworld import GridWorld
@@ -357,11 +358,10 @@ class TestEngineWiring:
         assert profile["engines"]["clock"]["cycle"] == sys_.sim.cycle
 
     def test_batch_simulator(self, mdp):
-        from repro.core.batch import BatchIndependentSimulator
-
         with TelemetrySession(trace=False) as s:
-            fleet = BatchIndependentSimulator(mdp, QTAccelConfig.qlearning(seed=3),
-                                              num_agents=4)
+            fleet = make_engine(
+                QTAccelConfig.qlearning(seed=3), engine="vectorized", mdps=mdp, num_agents=4
+            )
             fleet.run(25)
         snap = s.profile()["engines"]["batch"]
         assert snap["agents"] == 4
