@@ -127,12 +127,13 @@ def native_available() -> tuple[bool, str]:
 #: Fields of the kernel context ``qt_ctx``, in order: table addresses,
 #: then numeric constants.  Python packs one int64 per field into an
 #: array the backend keeps; the C struct below is generated from these
-#: names.
+#: names.  ``capture`` is the only address that may be null (see
+#: :meth:`NativeFleetBackend.set_capture`).
 _CTX_POINTERS = (
     "q", "qmax", "qmax_action", "momentum", "target", "target_count",
     "arch_state", "forwarded", "prev_pair", "prev_state", "prev_q",
     "prev_qmax", "prev_qmax_action", "s_start", "s_action", "s_policy",
-    "leap", "nxt", "rew", "term", "starts", "counts",
+    "leap", "nxt", "rew", "term", "starts", "counts", "capture",
 )
 _CTX_SCALARS = (
     "K", "S", "A", "n_starts", "egreedy_cut", "one_minus_alpha", "alpha",
@@ -175,6 +176,7 @@ _C_SOURCE = r"""
  * QT_BEHAVIOR_RANDOM, QT_ON_POLICY, QT_HET, QT_SATURATE and QT_NEAREST,
  * and the LFSR decimation QT_DEC, are -D constants of the build. */
 #include <stdint.h>
+#include <string.h>
 
 typedef struct {
 @CTX_FIELDS@
@@ -221,6 +223,20 @@ static inline void qt_lane_store(const qt_ctx *c, int64_t k, const qt_lane *L)
     c->prev_qmax[k] = L->p_qm;
     c->prev_qmax_action[k] = L->p_qa;
     if (QT_RULE_KIND == 2) c->target_count[k] = L->tc;
+}
+
+/* Copy lane k's rows of every lane-state field into a shadow copy.  cap
+ * holds a field count, then (source, destination, row width) per field;
+ * both addresses index lane 0 of the field. */
+static void qt_capture(const int64_t *cap, int64_t k)
+{
+    for (int64_t f = 0; f < cap[0]; f++) {
+        const int64_t *e = cap + 1 + 3 * f;
+        const int64_t w = e[2];
+        memcpy((int64_t *)(intptr_t)e[1] + k * w,
+               (const int64_t *)(intptr_t)e[0] + k * w,
+               (size_t)w * sizeof(int64_t));
+    }
 }
 
 /* One rounding shift and one overflow clamp of a wide accumulator. */
@@ -345,7 +361,8 @@ static inline int64_t qt_retire(const qt_ctx *c, qt_lane *L, int64_t k,
 
 /* The fused lock-step program: n_steps environment samples on every lane
  * (lane-outer, step-inner).  Stage 1 draws the state and behaviour
- * action; the environment tables supply r and s'. */
+ * action; the environment tables supply r and s'.  With a capture table
+ * set, each lane's finished rows are copied out while still in cache. */
 void qtaccel_fleet_steps(const qt_ctx *ctx, int64_t n_steps)
 {
     const qt_ctx cv = *ctx; /* a private copy: table stores cannot alias it */
@@ -396,6 +413,8 @@ void qtaccel_fleet_steps(const qt_ctx *ctx, int64_t n_steps)
         qt_lane_store(c, k, &L);
         c->s_start[k] = ss;
         c->s_action[k] = sa_rng;
+        if (c->capture)
+            qt_capture(c->capture, k);
     }
     c->counts[0] = counts[0];
     c->counts[1] = counts[1];
@@ -556,6 +575,7 @@ class NativeFleetBackend(VectorizedFleetBackend):
         self._leap = self._bank_start._leap_table_np(DECIMATION)
         self._terminal_i64 = self._terminal_flat.astype(_I64)
         self._lane_rows = np.empty(5 * self.LANE_ROWS, dtype=_I64)
+        self._capture = None
         coefs = self._rule_coefs
         qf = config.q_format
         self._consts = {
@@ -619,13 +639,27 @@ class NativeFleetBackend(VectorizedFleetBackend):
         for name, arr in tables.items():
             if arr.dtype != _I64 or not arr.flags.c_contiguous:
                 raise TypeError(f"kernel table {name!r} must be contiguous int64")
+        tables["capture"] = self._capture
         self._ctx = np.array(
-            [tables[name].ctypes.data for name in _CTX_POINTERS]
+            [0 if tables[name] is None else tables[name].ctypes.data for name in _CTX_POINTERS]
             + [self._consts[name] for name in _CTX_SCALARS],
             dtype=_I64,
         )
         self._ctx_addr = self._ctx.ctypes.data
         self._lane_rows_addr = self._lane_rows.ctypes.data
+
+    def set_capture(self, table: np.ndarray | None) -> None:
+        """Make every later ``run()`` kernel pass copy each lane's finished
+        rows into a shadow copy, or stop doing so (``None``, the default).
+
+        ``table`` is an int64 array: a field count, then one ``(source
+        address, destination address, row width)`` triple per field, with
+        the sources this backend's own lane-state arrays.  The sharded
+        fleet's workers set it for the last kernel call of an epoch; the
+        lane op never captures.  The caller keeps ``table`` and its
+        destinations alive while it is set."""
+        self._capture = table
+        self._ctx[_CTX_POINTERS.index("capture")] = 0 if table is None else table.ctypes.data
 
     def telemetry_snapshot(self) -> dict:
         snap = super().telemetry_snapshot()

@@ -347,6 +347,7 @@ def run_chaos_campaign(
     finally:
         hangs = backend.hangs
         restarts = backend.restarts
+        replayed = backend.replayed_samples
         recoveries = manager.recoveries
         server = manager.server_info()
         proxy_stats = proxy.stats()
@@ -414,7 +415,7 @@ def run_chaos_campaign(
             "ok": len([r for r in burst_results if r["status"] == "ok"]),
             "failed": len(burst_failed),
         },
-        "backend": {"hangs": hangs, "restarts": restarts},
+        "backend": {"hangs": hangs, "restarts": restarts, "replayed_samples": replayed},
         "server": server,
         "proxy": proxy_stats,
     }

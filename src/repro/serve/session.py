@@ -797,15 +797,19 @@ class SessionManager:
     def failover(self) -> str:
         """Last-resort migration onto a fresh single-process backend.
 
-        Builds a new vectorized (numpy, single-process) backend, copies every leased lane's state across through
-        the checkpoint surface (``lane_state``/``load_lane_state`` —
-        the payloads are backend-independent, so the copy is bit-exact),
-        swaps it in and closes the old backend.  Free lanes need no
-        copying: the next lease re-seeds them.  Tenants observe nothing
-        but a brief stall.
+        Builds a new single-process backend — ``scalar`` when the old one
+        is scalar, else ``vectorized`` (numpy) — copies every leased
+        lane's state across through the checkpoint surface
+        (``lane_state``/``load_lane_state``; the array backends share one
+        lane payload and the scalar backend has its own, so each kind
+        migrates onto its own family and the copy is bit-exact), swaps it
+        in and closes the old backend.  Free lanes need no copying: the
+        next lease re-seeds them.  Tenants observe nothing but a brief
+        stall.
         """
         with self._lock, self._span("session.failover"):
             old = self.backend
+            from ..backends.scalar import ScalarFleetBackend
             from ..core.engine import make_engine
 
             if getattr(old, "_homogeneous", True):
@@ -814,7 +818,7 @@ class SessionManager:
                 worlds, num_agents = list(old.mdps), None
             new = make_engine(
                 old.config,
-                engine="vectorized",
+                engine="scalar" if isinstance(old, ScalarFleetBackend) else "vectorized",
                 mdps=worlds,
                 num_agents=num_agents,
                 salts=getattr(old, "_salts", None),

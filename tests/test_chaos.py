@@ -528,4 +528,7 @@ def test_chaos_campaign_quick():
     assert result["ok"], result["problems"]
     assert result["tenants"]["failed"] == 0
     assert result["backend"]["hangs"] >= 1
+    # A serving fleet runs no epochs: each shard restores its committed
+    # generation, which already holds every lane op, and replays nothing.
+    assert result["backend"]["replayed_samples"] == 0
     assert result["server"]["recoveries"] >= 1

@@ -472,6 +472,22 @@ class TestRecoveryProperties:
             # sharded workers were already shut down by failover itself.
             getattr(manager.backend, "close", lambda: None)()
 
+    def test_failover_keeps_a_scalar_fleet_scalar(self):
+        """A scalar fleet's lane payloads are its own: failover migrates
+        them onto a fresh scalar fleet, bit-exactly."""
+        config = _config(seed=8)
+        manager = SessionManager(_backend(engine="scalar", lanes=2, config=config))
+        rng = random.Random(11)
+        rec = manager.open()
+        ops = _random_stream(rng, 20)
+        _apply_via_manager(manager, rec.sid, ops)
+
+        assert manager.failover() == "ScalarFleetBackend"
+        assert manager.q_row(rec.sid) == _ref_table(config, rec.salt, ops)
+        more = _random_stream(rng, 10)
+        _apply_via_manager(manager, rec.sid, more)
+        assert manager.q_row(rec.sid) == _ref_table(config, rec.salt, ops + more)
+
 
 # ---------------------------------------------------------------------- #
 # Gateway over real sockets
