@@ -153,6 +153,17 @@ def check_query(fleet, k, state) -> None:
         raise ValueError(f"state {state!r} out of range [0, {fleet.S})")
 
 
+def checkpoint_field(payload, key: str, name: str | None = None):
+    """``payload[key]``, or a :class:`ValueError` naming the field
+    (``name``, default ``key``) when ``payload`` lacks it or is not a
+    mapping: how every backend rejects a checkpoint or lane payload built
+    by a backend of another kind before writing anything."""
+    try:
+        return payload[key]
+    except (KeyError, TypeError, IndexError):
+        raise ValueError(f"checkpoint field {name or key!r}: missing") from None
+
+
 @functools.lru_cache(maxsize=16)
 def _index_bounds(S: int, A: int) -> np.ndarray:
     """Exclusive upper bounds of the state, next-state and action rows."""
