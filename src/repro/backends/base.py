@@ -28,7 +28,8 @@ fixed-point arithmetic included (asserted by the test suite) — so the
 backend choice is purely a throughput decision.
 
 This module owns what the implementations share: the fleet-environment
-normalisation/validation, the :class:`BatchStats` counters and the
+normalisation/validation, the :class:`BatchStats` counters, the
+:class:`LaneLayout` every array backend keeps its lane state in and the
 :class:`FleetBackend` protocol.  Engines are named and built by
 :func:`repro.core.engine.make_engine` alone.
 """
@@ -137,8 +138,9 @@ _U64 = np.uint64
 
 def check_lane(fleet, k) -> None:
     """:class:`IndexError` unless ``k`` is a lane index ``0..K-1`` (an
-    integer, not a bool): the check ``query_action`` and ``reset_lane``
-    make before touching the lane."""
+    integer, not a bool): the check every lane op (``query_action``,
+    ``reset_lane``, ``lane_state``, ``load_lane_state``, ``q_float``)
+    makes before touching the lane."""
     if not is_index(k) or not 0 <= k < fleet.K:
         raise IndexError(f"lane {k!r} out of range 0..{fleet.K - 1}")
 
@@ -162,6 +164,137 @@ def checkpoint_field(payload, key: str, name: str | None = None):
         return payload[key]
     except (KeyError, TypeError, IndexError):
         raise ValueError(f"checkpoint field {name or key!r}: missing") from None
+
+
+#: The LFSR banks in payload order, with the offset each register seeds
+#: from: lane-state field ``lfsr_<b>`` is payload entry ``["lfsr"][b]``.
+LFSR_STREAMS = (("start", 0x11), ("action", 0x22), ("policy", 0x33))
+
+#: int64 words per 64-byte line: every lane-state field starts on one.
+_LINE_WORDS = 8
+
+
+class LaneLayout:
+    """The one description of a ``k``-lane fleet's lane state: int64
+    fields of one block, each starting on a 64-byte line.
+
+    ``tables`` lists ``(attribute, checkpoint key, per-lane shape,
+    initial value)`` of every table and latch under ``config``, the
+    update rule's extra tables last; the LFSR registers ``lfsr_<bank>``
+    follow.  ``shapes`` and ``offsets`` give every field's per-lane shape
+    and first word; ``words`` is the block's length.  Every fleet program
+    is built on :meth:`views` of such a block and never leaves it.
+    """
+
+    def __init__(self, k: int, S: int, A: int, config: "QTAccelConfig"):
+        q_init = config.q_format.quantize(config.q_init)
+        tables = [
+            ("q", "q", (S * A,), q_init),
+            ("qmax", "qmax", (S,), q_init),
+            ("qmax_action", "qmax_action", (S,), 0),
+            ("_arch_state", "arch_state", (), -1),
+            ("_forwarded", "forwarded", (), -1),
+            # Lag view of the most recent write (SARSA restart reads).
+            ("_prev_pair", "prev_pair", (), -1),
+            ("_prev_state", "prev_state", (), -1),
+            ("_prev_q", "prev_q", (), 0),
+            ("_prev_qmax", "prev_qmax", (), 0),
+            ("_prev_qmax_action", "prev_qmax_action", (), 0),
+        ]
+        kind = config.rule.kind
+        if kind == "momentum":
+            tables.append(("momentum", "momentum", (S * A,), q_init))
+        elif kind == "target":
+            tables.append(("target", "target", (S * A,), q_init))
+            tables.append(("_target_count", "target_count", (), 0))
+        self.tables = tuple(tables)
+        self.shapes = {key: shape for _, key, shape, _ in tables}
+        self.shapes.update((f"lfsr_{b}", ()) for b, _ in LFSR_STREAMS)
+        self.offsets: dict[str, int] = {}
+        self.words = 0
+        for key, shape in self.shapes.items():
+            self.offsets[key] = self.words
+            self.words += -(-k * int(np.prod(shape)) // _LINE_WORDS) * _LINE_WORDS
+        self.k = k
+        self._seed, self._lfsr_width = config.seed, config.lfsr_width
+
+    def allocate(self) -> dict[str, np.ndarray]:
+        """:meth:`views` of a new zero-filled, line-aligned block: one
+        allocation, whose zero pages a large block maps lazily."""
+        block = np.zeros(self.words + _LINE_WORDS, dtype=np.int64)
+        return self.views(block, (-block.ctypes.data // 8) % _LINE_WORDS)
+
+    def views(self, buf, base: int = 0) -> dict[str, np.ndarray]:
+        """``(k, *shape)`` views of every field of the block starting at
+        int64 word ``base`` of ``buf``."""
+        return {
+            key: np.ndarray(
+                (self.k, *shape), np.int64, buffer=buf, offset=(base + self.offsets[key]) * 8
+            )
+            for key, shape in self.shapes.items()
+        }
+
+    def seed(self, views: dict, salts) -> None:
+        """Seed zero-filled rows as fresh lanes, one per salt: the
+        non-zero initial values, and the LFSR registers exactly as
+        ``PolicyDraws.from_config(config, salt=...)`` seeds them."""
+        for _, key, _, init in self.tables:
+            if init:
+                views[key].fill(init)
+        base = np.asarray(salts, dtype=np.int64) * 0x9E37 + self._seed
+        for b, off in LFSR_STREAMS:
+            regs = views["lfsr_" + b]
+            np.bitwise_and(base + off, (1 << self._lfsr_width) - 1, out=regs)
+            np.maximum(regs, 1, out=regs)  # the scalar Lfsr's zero-seed remap
+
+    def copy_rows(self, dst: dict, src: dict, lo: int, hi: int) -> None:
+        """Copy rows ``[lo, hi)`` of every field from ``src`` to ``dst``."""
+        for key in self.shapes:
+            np.copyto(dst[key][lo:hi], src[key][lo:hi])
+
+    def capture_table(self, live: dict, shadow: dict, lo: int, hi: int) -> np.ndarray:
+        """The kernel's capture table (see
+        :meth:`~repro.backends.native.NativeFleetBackend.set_capture`)
+        copying rows ``[lo, hi)`` of ``live`` into ``shadow``, indexed
+        from row ``lo`` as a program on those rows indexes its lanes."""
+        table = [len(self.shapes)]
+        for key, shape in self.shapes.items():
+            table += [
+                live[key][lo:hi].ctypes.data,
+                shadow[key][lo:hi].ctypes.data,
+                int(np.prod(shape)),
+            ]
+        return np.array(table, dtype=np.int64)
+
+    # The payload nests the LFSR registers in an ``lfsr`` dict; these
+    # three are the only code that maps it to and from the fields.
+
+    @staticmethod
+    def label(key: str) -> str:
+        """Field ``key``'s payload name (``lfsr.start`` for ``lfsr_start``)."""
+        return "lfsr." + key[5:] if key.startswith("lfsr_") else key
+
+    def unpack(self, payload) -> dict:
+        """A checkpoint or lane payload's value of every field, by key; a
+        missing one raises :class:`ValueError` naming it."""
+        values = {}
+        for key in self.shapes:
+            if key.startswith("lfsr_"):
+                banks = checkpoint_field(payload, "lfsr")
+                values[key] = checkpoint_field(banks, key[5:], self.label(key))
+            else:
+                values[key] = checkpoint_field(payload, key)
+        return values
+
+    def pack(self, values: dict) -> dict:
+        """The payload of ``values`` (by field key); a lane's LFSR
+        registers become Python ints."""
+        payload = {key: values[key] for _, key, _, _ in self.tables}
+        lfsr = payload["lfsr"] = {}
+        for b, _ in LFSR_STREAMS:
+            regs = values["lfsr_" + b]
+            lfsr[b] = regs if regs.ndim else int(regs)
+        return payload
 
 
 @functools.lru_cache(maxsize=16)

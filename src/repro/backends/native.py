@@ -48,7 +48,7 @@ Everything else — storage layout, checkpointing, ``reset_lane`` and
 the vectorized backend: the kernel mutates the very same arrays in place,
 so mixing fused calls with the inherited per-step surfaces stays
 bit-identical.  A sharded fleet runs this class both in its workers and
-in its parent, each bound to shared-memory rows, whenever the kernel
+in its parent, each built on shared-memory rows, whenever the kernel
 builds.
 """
 
@@ -533,9 +533,9 @@ class NativeFleetBackend(VectorizedFleetBackend):
     ``apply_transition`` are the kernel's two entry points; every
     inherited surface — checkpoints, ``reset_lane``, ``query_action``,
     ``q_float`` — operates on the same arrays the kernel mutates, so
-    mixing them with kernel calls is bit-safe.  Rebinding a table
-    attribute to new storage must go through :meth:`_rebind_flat_views`,
-    which re-packs the addresses the kernel reads.
+    mixing them with kernel calls is bit-safe.  The kernel context packs
+    those arrays' addresses once, at construction: a program never moves
+    to other storage.
     """
 
     _TELEMETRY_NAME = "native"
@@ -560,9 +560,11 @@ class NativeFleetBackend(VectorizedFleetBackend):
         num_agents: int | None = None,
         salts: Sequence[int] | None = None,
         telemetry=None,
+        storage: dict | None = None,
     ):
         super().__init__(
-            mdps, config, num_agents=num_agents, salts=salts, telemetry=telemetry
+            mdps, config, num_agents=num_agents, salts=salts, telemetry=telemetry,
+            storage=storage,
         )
         self._steps_fn, self._lane_fn = _get_kernel(
             _switches(config, het=self._env_sa_off is not None)
@@ -598,13 +600,6 @@ class NativeFleetBackend(VectorizedFleetBackend):
             "sync_period": int(config.target_sync_period or 0),
         }
         self._bind_context()
-
-    def _rebind_flat_views(self) -> None:
-        """Re-derive the flat views, then the kernel context holding their
-        addresses (construction binds it once the constants exist)."""
-        super()._rebind_flat_views()
-        if hasattr(self, "_consts"):
-            self._bind_context()
 
     def _bind_context(self) -> None:
         """Pack the table addresses and constants into the ``qt_ctx``

@@ -269,6 +269,7 @@ class ScalarFleetBackend:
 
     def lane_state(self, k: int, state: dict | None = None) -> dict:
         """Lane ``k``'s checkpoint (default: freshly taken)."""
+        check_lane(self, k)
         if state is None:
             return self.sims[k].state_dict()
         return state["lanes"][k]
@@ -276,6 +277,7 @@ class ScalarFleetBackend:
     def load_lane_state(self, k: int, lane: dict) -> None:
         """Restore one lane, leaving the others untouched (a payload
         lacking a field raises :class:`ValueError` naming it)."""
+        check_lane(self, k)
         _require(lane, _LANE_FIELDS)
         self.sims[k].load_state_dict(lane)
 
@@ -285,6 +287,7 @@ class ScalarFleetBackend:
 
     def q_float(self, agent: int) -> np.ndarray:
         """Lane ``agent``'s Q table as floats, ``(S, A)``."""
+        check_lane(self, agent)
         return self.sims[agent].q_float()
 
     def q_float_all(self) -> np.ndarray:

@@ -22,9 +22,11 @@ compiler the shards run the same program in numpy
 fallback.  ``telemetry_snapshot()["kernel"]`` reports which one ran
 (``"cc"`` or ``"numpy"``).
 
-The parent runs the shard program too: one instance over the whole
-block, bound by the same :func:`_bind_rows` the workers use.  Its
-tables are the fleet's ``q``/``qmax`` views, and it serves the
+The parent runs the shard program too: one instance built on the whole
+block's live rows, as each worker's is built on its shard's rows (every
+program runs on the storage it was built on; see
+:class:`~repro.backends.base.LaneLayout`).  Its tables are the fleet's
+``q``/``qmax`` views, and it serves the
 checkpoint surface and the per-lane serve ops (``apply_transition``
 retires a batch in the kernel's lane op), zero-copy and only between
 epochs, while the workers are idle.  So every lane of the fleet, from
@@ -51,7 +53,7 @@ commits on the worker's ``done`` reply.  A worker that dies mid-epoch
 is recovered by the rollback-retry-quarantine discipline of
 :mod:`repro.robustness`: its shard's rows are restored from its
 committed generation, which a kill mid-capture cannot touch, a fresh
-worker adopts the restored state and replays the failed epoch —
+worker is built on the restored rows and replays the failed epoch —
 bit-identical thanks to determinism — and a shard that keeps dying is
 quarantined so the rest of the fleet continues.  A worker that stops
 making progress (SIGSTOP, livelock), mid-epoch or during startup, is
@@ -90,7 +92,7 @@ import numpy as np
 
 from ..core.config import QTAccelConfig
 from ..envs.base import DenseMdp
-from .base import BatchStats, normalize_fleet
+from .base import BatchStats, LaneLayout, normalize_fleet
 from .vectorized import VectorizedFleetBackend
 
 #: Reusable no-op context for the untraced path.
@@ -112,10 +114,6 @@ _LIVE_BACKENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 #: Signals :func:`install_signal_cleanup` has already hooked.
 _HOOKED_SIGNALS: dict[int, object] = {}
-
-#: The LFSR banks by checkpoint name: program attribute ``_bank_<name>``,
-#: shared-memory field ``lfsr_<name>``.
-_BANKS = ("start", "action", "policy")
 
 
 def _atexit_close(ref) -> None:
@@ -171,75 +169,30 @@ def install_signal_cleanup(signals: Sequence[int] = (_signal.SIGTERM, _signal.SI
 
 
 class _ShmLayout:
-    """Byte layout of the shared lane-state block.
+    """The shared segment: three blocks of the fleet's lane state
+    (``lane``, a :class:`~repro.backends.base.LaneLayout`), then the
+    heartbeat.
 
-    The shard program's lane-state arrays (its ``_lane_fields``, the
-    checkpoint vocabulary ``_STATE_ARRAYS``) plus the three LFSR
-    registers, all int64, concatenated into one copy of the fleet's lane
-    state.  The block holds three such copies: the *live* rows every
-    program runs on, then (after the heartbeat) two *shadow generations*,
-    the double-buffered recovery checkpoints.  Worker ``w`` touches only
-    rows ``[lo_w, hi_w)`` of each field, so shards never alias each other.
-
-    The extra ``heartbeat`` field is liveness plumbing, not lane state
-    (it is deliberately absent from ``_STATE_ARRAYS`` and has no shadow,
-    so checkpoints ignore it): worker ``w`` bumps slot ``lo_w`` as it
+    The *live* block holds the rows every program runs on; the other two
+    are the *shadow generations*, the double-buffered recovery
+    checkpoints.  Worker ``w`` touches only rows ``[lo_w, hi_w)`` of each
+    field, so shards never alias each other.  The heartbeat is liveness
+    plumbing, not lane state: worker ``w`` bumps slot ``lo_w`` as it
     makes progress through an epoch, and the parent's hang watchdog reads
     it to tell a *slow* worker (heartbeat advancing) from a *stuck* one
     (SIGSTOP, livelock — heartbeat frozen).
     """
 
     def __init__(self, k: int, s: int, a: int, config: QTAccelConfig):
-        lane = VectorizedFleetBackend._lane_fields(config, s, a)
-        fields = [(key, (k, *shape)) for _, key, shape, _ in lane]
-        fields += [(f"lfsr_{b}", (k,)) for b in _BANKS]
-        self.fields = tuple(fields)
-        self.offsets: dict[str, int] = {}
-        off = 0
-        for key, shape in self.fields:
-            self.offsets[key] = off
-            off += int(np.prod(shape))
-        #: int64 words in one copy of the lane state.
-        self.words = off
-        self.k = k
-        self.nbytes = (3 * off + k) * 8
+        self.lane = LaneLayout(k, s, a, config)
+        self.nbytes = (3 * self.lane.words + k) * 8
 
     def views(self, buf, gen: int | None = None) -> dict[str, np.ndarray]:
-        """Numpy views of every lane-state field over a shared-memory
-        buffer: the live rows plus the heartbeat, or shadow generation
-        ``gen`` (0 or 1)."""
-        base = 0 if gen is None else self.words + self.k + gen * self.words
-        views = {
-            key: np.ndarray(
-                shape, dtype=np.int64, buffer=buf, offset=(base + self.offsets[key]) * 8
-            )
-            for key, shape in self.fields
-        }
-        if gen is None:
-            views["heartbeat"] = np.ndarray(
-                (self.k,), dtype=np.int64, buffer=buf, offset=self.words * 8
-            )
-        return views
+        """The live block's views, or shadow generation ``gen``'s (0 or 1)."""
+        return self.lane.views(buf, 0 if gen is None else (1 + gen) * self.lane.words)
 
-    def copy_rows(self, dst: dict, src: dict, lo: int, hi: int) -> None:
-        """Copy rows ``[lo, hi)`` of every lane-state field from the
-        ``src`` views to the ``dst`` views."""
-        for key, _ in self.fields:
-            np.copyto(dst[key][lo:hi], src[key][lo:hi])
-
-    def capture_table(self, live: dict, shadow: dict, lo: int, hi: int) -> np.ndarray:
-        """The kernel's capture table (see
-        :meth:`~repro.backends.native.NativeFleetBackend.set_capture`)
-        copying rows ``[lo, hi)`` of ``live`` into ``shadow``, indexed
-        from row ``lo`` as the shard's program indexes its lanes."""
-        table = [len(self.fields)]
-        for key, shape in self.fields:
-            table += [
-                live[key][lo:hi].ctypes.data,
-                shadow[key][lo:hi].ctypes.data,
-                int(np.prod(shape[1:])),
-            ]
-        return np.array(table, dtype=np.int64)
+    def heartbeat(self, buf) -> np.ndarray:
+        return np.ndarray((self.lane.k,), np.int64, buffer=buf, offset=3 * self.lane.words * 8)
 
 
 def _attach_shm(name: str) -> shared_memory.SharedMemory:
@@ -302,24 +255,6 @@ def _program_class(kernel: str) -> type:
     return VectorizedFleetBackend
 
 
-def _bind_rows(program, views: dict, lo: int, hi: int, *, adopt: bool) -> None:
-    """Rebind ``program``'s lane-state arrays and LFSR registers onto rows
-    ``[lo, hi)`` of the shared ``views``, copying its own state in first
-    unless ``adopt`` (the block already holds the state to run from).
-
-    Workers bind their shard and the parent binds the whole block through
-    this one function; ``_rebind_flat_views`` then re-derives the flat
-    aliases (and, on the kernel, the table addresses it reads)."""
-    targets = [(program, attr, key) for attr, key in program._STATE_ARRAYS]
-    targets += [(getattr(program, f"_bank_{b}"), "states", f"lfsr_{b}") for b in _BANKS]
-    for owner, attr, key in targets:
-        view = views[key][lo:hi]
-        if not adopt:
-            view[...] = getattr(owner, attr)
-        setattr(owner, attr, view)
-    program._rebind_flat_views()
-
-
 def _cpu_ticks(pid: int) -> int:
     """CPU time a process has used, in clock ticks (0 where ``/proc`` is
     absent): a starting worker's progress before it can beat."""
@@ -335,11 +270,9 @@ def _shard_worker_main(conn, shm_name: str, layout: _ShmLayout, spec: dict) -> N
     """Entry point of one shard worker process.
 
     Builds the shard's program (:func:`_program_class` of
-    ``spec["kernel"]``), binds it to the shared-memory rows ``[lo, hi)``
-    with :func:`_bind_rows` — copying its freshly seeded state in unless
-    ``spec["adopt"]`` says the block already holds restored state, and
-    then capturing those seeded rows into shadow generation 0 — and
-    answers ``("ready", kernel)``.  It then serves
+    ``spec["kernel"]``) on the live rows ``[lo, hi)`` as they are — seeded
+    by the parent, or restored from a checkpoint when the worker replaces
+    a failed one — and answers ``("ready", kernel)``.  It then serves
     ``("run", n, gen)`` / ``("ping",)`` / ``("stop",)`` commands over the
     pipe, answering each run with the stat deltas it retired.  A run
     bumps the heartbeat every :func:`_beat_steps` steps, so on the kernel
@@ -364,30 +297,27 @@ def _shard_worker_main(conn, shm_name: str, layout: _ShmLayout, spec: dict) -> N
     proc_label = f"shard{spec.get('worker', '?')}"
     shm = _attach_shm(shm_name)
     backend = None
-    views = shadows = captures = None
+    views = shadows = captures = hb = None
     try:
         try:
             views = layout.views(shm.buf)
             shadows = [layout.views(shm.buf, gen) for gen in (0, 1)]
             kernel = spec["kernel"]
+            lo, hi = spec["lo"], spec["hi"]
             backend = _program_class(kernel)(
                 spec["mdps"],
                 spec["config"],
                 num_agents=spec["num_agents"],
-                salts=spec["salts"],
+                storage={key: view[lo:hi] for key, view in views.items()},
             )
-            lo, hi = spec["lo"], spec["hi"]
-            _bind_rows(backend, views, lo, hi, adopt=spec["adopt"])
-            if not spec["adopt"]:
-                layout.copy_rows(shadows[0], views, lo, hi)
             if kernel == "cc":
-                captures = [layout.capture_table(views, sh, lo, hi) for sh in shadows]
+                captures = [layout.lane.capture_table(views, sh, lo, hi) for sh in shadows]
         except Exception as exc:  # startup failure: report, don't hang
             conn.send(("error", repr(exc)))
             return
         # Heartbeat slot: bumped as the worker makes progress so the
         # parent can distinguish slow from stuck (see _ShmLayout).
-        hb = views["heartbeat"]
+        hb = layout.heartbeat(shm.buf)
         hb[lo] += 1
         beat = _beat_steps(kernel, hi - lo)
         conn.send(("ready", kernel))
@@ -417,7 +347,7 @@ def _shard_worker_main(conn, shm_name: str, layout: _ShmLayout, spec: dict) -> N
                 if captures is not None:
                     backend.set_capture(None)
                 elif gen is not None:
-                    layout.copy_rows(shadows[gen], views, lo, hi)
+                    layout.lane.copy_rows(shadows[gen], views, lo, hi)
                 spans = None
                 if ctx is not None:
                     spans = [
@@ -455,7 +385,7 @@ def _shard_worker_main(conn, shm_name: str, layout: _ShmLayout, spec: dict) -> N
         pass
     finally:
         backend = None
-        views = shadows = captures = None
+        views = shadows = captures = hb = None
         try:
             shm.close()
         except BufferError:  # pragma: no cover - views already dropped
@@ -472,8 +402,8 @@ class ShardedFleetBackend:
     """``n_lanes`` learners sharded over ``num_workers`` processes,
     bit-identical per lane to :class:`VectorizedFleetBackend`.
 
-    The parent runs its own instance of the shard program, bound to the
-    whole shared-memory block: ``q``/``qmax``/``qmax_action``, the
+    The parent runs its own instance of the shard program, built on the
+    block's live rows: ``q``/``qmax``/``qmax_action``, the
     checkpoint surface and the per-lane serve ops (``reset_lane``,
     ``apply_transition``, ``query_action``) are that program's, so they
     read and write the workers' rows zero-copy and retire serve rows in
@@ -559,6 +489,7 @@ class ShardedFleetBackend:
         self._program = None
         self._views = self._layout.views(self._shm.buf)
         self._shadows = [self._layout.views(self._shm.buf, gen) for gen in (0, 1)]
+        self._heartbeat = self._layout.heartbeat(self._shm.buf)
 
         # Leak hygiene: close on interpreter exit even if the owner never
         # calls close() (the signal path is opt-in: install_signal_cleanup).
@@ -569,8 +500,8 @@ class ShardedFleetBackend:
         self.stats = BatchStats(agents=k)
         self._worker_cum = [[0, 0, 0] for _ in range(self.num_workers)]
         #: Per worker, its committed recovery checkpoint: ``(shadow
-        #: generation, samples_per_agent, worker_cum)``.  Workers capture
-        #: their seeded rows into generation 0 at startup.
+        #: generation, samples_per_agent, worker_cum)``.  Construction
+        #: seeds generation 0 as it seeds the live rows.
         self._ckpt: list[tuple[int, int, list[int]]] = [
             (0, 0, [0, 0, 0]) for _ in range(self.num_workers)
         ]
@@ -599,13 +530,16 @@ class ShardedFleetBackend:
         self._conns: list = [None] * self.num_workers
         try:
             for w in range(self.num_workers):
-                self._spawn_worker(w, adopt=False)
-            # Built while the workers start up.  Lane ops never read env
-            # tables, so one world serves a heterogeneous fleet too.
+                self._spawn_worker(w)
+            # While the workers start up: seed the fresh, zero-filled live
+            # rows and generation 0, then build the parent's program on
+            # the live rows.  Lane ops never read env tables, so one world
+            # serves a heterogeneous fleet too.
+            for views in (self._views, self._shadows[0]):
+                self._layout.lane.seed(views, spec.salts)
             self._program = _program_class(self.shard_kernel)(
-                self.mdps[0], config, num_agents=k, salts=self._salts, telemetry=False
+                self.mdps[0], config, num_agents=k, telemetry=False, storage=self._views
             )
-            _bind_rows(self._program, self._views, 0, k, adopt=True)
             for w in range(self.num_workers):
                 self._await_ready(w)
         except BaseException:
@@ -624,7 +558,7 @@ class ShardedFleetBackend:
     # Worker lifecycle
     # ------------------------------------------------------------------ #
 
-    def _worker_spec(self, w: int, *, adopt: bool) -> dict:
+    def _worker_spec(self, w: int) -> dict:
         lo, hi = self._bounds[w], self._bounds[w + 1]
         if self._homogeneous:
             worlds: object = self.mdps[0]
@@ -639,13 +573,11 @@ class ShardedFleetBackend:
             "mdps": worlds,
             "num_agents": num_agents,
             "config": self.config,
-            "salts": self._salts[lo:hi],
-            "adopt": adopt,
             "debug_fail": w in self._debug_fail,
             "kernel": self.shard_kernel,
         }
 
-    def _spawn_worker(self, w: int, *, adopt: bool) -> None:
+    def _spawn_worker(self, w: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_shard_worker_main,
@@ -653,7 +585,7 @@ class ShardedFleetBackend:
                 child_conn,
                 self._shm.name,
                 self._layout,
-                self._worker_spec(w, adopt=adopt),
+                self._worker_spec(w),
             ),
             daemon=True,
         )
@@ -846,7 +778,7 @@ class ShardedFleetBackend:
         if timeout is None:
             timeout = self.hang_timeout_s
         conn = self._conns[w]
-        hb = self._views["heartbeat"]
+        hb = self._heartbeat
         lo = self._bounds[w]
         pid = self._procs[w].pid if starting else None
 
@@ -926,8 +858,8 @@ class ShardedFleetBackend:
         """Rollback-retry-quarantine for a shard whose worker died.
 
         Restores the shard's live rows from its committed shadow
-        generation, spawns a fresh worker that *adopts* the restored
-        state, and replays forward to the fleet's current position (the
+        generation, spawns a fresh worker built on the restored rows, and
+        replays forward to the fleet's current position (the
         epoch of ``n`` samples that just failed; nothing from
         :meth:`check_workers`) — bit-identical, because the engine is
         deterministic.  The replay captures into the spare generation
@@ -943,7 +875,7 @@ class ShardedFleetBackend:
                 self._restore_shard(w)
                 cmd, gen = self._run_cmd(w, replay, self._wire_ctx())
                 try:
-                    self._spawn_worker(w, adopt=True)
+                    self._spawn_worker(w)
                     self._await_ready(w)
                     self._conns[w].send(cmd)
                     if not self._await_result(w):
@@ -969,16 +901,15 @@ class ShardedFleetBackend:
         committed checkpoint."""
         gen, _, cum = self._ckpt[w]
         lo, hi = self._bounds[w], self._bounds[w + 1]
-        self._layout.copy_rows(self._views, self._shadows[gen], lo, hi)
+        self._layout.lane.copy_rows(self._views, self._shadows[gen], lo, hi)
         self._worker_cum[w] = list(cum)
 
     def _mirror_lane(self, k: int) -> None:
         """Copy lane ``k``'s live rows into its worker's committed shadow
         generation after a parent-side lane write, so a recovery replays
-        from after the write."""
-        k = range(self.K)[k]
+        from after the write (to a lane the program op checked)."""
         w = bisect.bisect_right(self._bounds, k) - 1
-        self._layout.copy_rows(self._shadows[self._ckpt[w][0]], self._views, k, k + 1)
+        self._layout.lane.copy_rows(self._shadows[self._ckpt[w][0]], self._views, k, k + 1)
 
     def _refresh_stats(self) -> None:
         """Aggregate stats: the program's own counts (parent-side lane ops
@@ -1018,7 +949,7 @@ class ShardedFleetBackend:
         # The loaded rows become every worker's committed checkpoint.
         for w, (gen, _, _) in enumerate(self._ckpt):
             lo, hi = self._bounds[w], self._bounds[w + 1]
-            self._layout.copy_rows(self._shadows[gen], self._views, lo, hi)
+            self._layout.lane.copy_rows(self._shadows[gen], self._views, lo, hi)
             self._ckpt[w] = (gen, self.stats.samples_per_agent, [0, 0, 0])
 
     def lane_state(self, k: int, state: dict | None = None) -> dict:
@@ -1133,7 +1064,7 @@ class ShardedFleetBackend:
                 self._conns[w] = None
         # Drop every view of the buffer before closing the mapping.
         self._program = None
-        self._views = self._shadows = None
+        self._views = self._shadows = self._heartbeat = None
         try:
             self._shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already unlinked

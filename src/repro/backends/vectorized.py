@@ -39,7 +39,9 @@ from ..rtl.lfsr import Lfsr
 from ..rtl.lfsr_batch import LfsrBank
 from ..rtl.rng import DECIMATION
 from .base import (
+    LFSR_STREAMS,
     BatchStats,
+    LaneLayout,
     check_lane,
     check_query,
     checkpoint_field,
@@ -67,7 +69,14 @@ def _lane_leap_table(width: int) -> list[int]:
 class VectorizedFleetBackend:
     """``n_lanes`` independent QTAccel learners, advanced in vectorised
     lock-step (Q tables stacked ``(n_lanes, |S|, |A|)``, Qmax
-    ``(n_lanes, |S|)``)."""
+    ``(n_lanes, |S|)``).
+
+    The lane state is one :class:`~repro.backends.base.LaneLayout` block,
+    allocated and seeded from ``salts`` by default.  ``storage``
+    (internal: the sharded fleet's shared rows) is a dict of that
+    layout's views already holding the lanes' state; the program runs on
+    them as they are.
+    """
 
     #: Name this engine attaches under in a telemetry session profile.
     _TELEMETRY_NAME = "batch"
@@ -80,6 +89,7 @@ class VectorizedFleetBackend:
         num_agents: int | None = None,
         salts: Sequence[int] | None = None,
         telemetry=None,
+        storage: dict | None = None,
     ):
         spec = normalize_fleet(mdps, n_lanes=num_agents, salts=salts)
         self.mdps = list(spec.mdps)
@@ -128,26 +138,23 @@ class VectorizedFleetBackend:
         self._n_starts = n_starts
 
         # Learner state: per-lane Q / Qmax / argmax tables, the
-        # architectural latches (-1 sentinels = "none") and the update
-        # rule's extra tables (see repro.algorithms).
+        # architectural latches (-1 sentinels = "none"), the update
+        # rule's extra tables (see repro.algorithms) and the LFSR
+        # registers, all views of one LaneLayout block.
         self.rule = config.rule
         self._rule_kind = self.rule.kind
         self._rule_coefs = self.rule.coefficients(config)
-        self._lane_init = self._lane_fields(config, self.S, self.A)
+        self._layout = layout = LaneLayout(k, self.S, self.A, config)
+        if storage is None:
+            storage = layout.allocate()
+            layout.seed(storage, spec.salts)
+        self._lane = lane = {key: storage[key] for key in layout.shapes}
         self.momentum = self.target = self._target_count = None
-        for attr, _, shape, init in self._lane_init:
-            arr = np.zeros((k, *shape), dtype=_I64)  # zero pages map lazily
-            if init:
-                arr.fill(init)
-            setattr(self, attr, arr)
-        self._STATE_ARRAYS = tuple((attr, key) for attr, key, _, _ in self._lane_init)
-
-        # LFSR banks seeded exactly like PolicyDraws.from_config(salt=..).
-        base_seed = config.seed + spec.salts * 0x9E37
+        for attr, key, _, _ in layout.tables:
+            setattr(self, attr, lane[key])
         w = config.lfsr_width
-        self._bank_start = LfsrBank(w, base_seed + 0x11)
-        self._bank_action = LfsrBank(w, base_seed + 0x22)
-        self._bank_policy = LfsrBank(w, base_seed + 0x33)
+        for b, _ in LFSR_STREAMS:
+            setattr(self, f"_bank_{b}", LfsrBank.over(w, lane[f"lfsr_{b}"]))
         self._egreedy_cut = _I64(egreedy_cut(config.epsilon, w))
 
         (self._alpha, _, self._one_minus_alpha, self._alpha_gamma) = config.coefficients()
@@ -156,10 +163,7 @@ class VectorizedFleetBackend:
         self._rows = np.arange(k)
 
         # Flat lane offsets + preallocated per-step scratch: step() runs
-        # allocation-free, and every state array is only ever mutated in
-        # place — the sharded backend relies on both when it rebinds the
-        # table attributes to shared-memory slices (then calls
-        # :meth:`_rebind_flat_views`).
+        # allocation-free.
         self._lane_sa_off = np.arange(k, dtype=_I64) * (self.S * self.A)
         self._lane_s_off = np.arange(k, dtype=_I64) * self.S
         for name in (
@@ -182,7 +186,10 @@ class VectorizedFleetBackend:
         # materialising `due[:, None]` every sync check.
         self._m_due_col = np.empty((k, 1), dtype=bool)
         self._m_due = self._m_due_col[:, 0]
-        self._rebind_flat_views()
+        # Flat 1-D aliases (views) for the offset-indexed gathers in step().
+        for name in ("q", "qmax", "qmax_action", "momentum", "target"):
+            if getattr(self, name) is not None:
+                setattr(self, f"_{name}_flat", getattr(self, name).reshape(-1))
         #: Optional :class:`repro.robustness.guards.DivergenceGuard`
         #: observing every lock-step update vector (None = fast path).
         self.guard = None
@@ -231,23 +238,6 @@ class VectorizedFleetBackend:
         if m & (m - 1) == 0:
             return np.bitwise_and(states, _I64(m - 1), out=out)
         return np.remainder(states, _I64(m), out=out)
-
-    def _rebind_flat_views(self) -> None:
-        """(Re)derive the flat 1-D aliases of q/qmax/qmax_action (and
-        the rule extra tables when present).
-
-        Called at construction and again whenever the table attributes
-        are rebound to new storage (the sharded backend's shared-memory
-        rows) — the flat views used by the offset-indexed gathers in
-        :meth:`step` must always alias the current storage (contiguous
-        row slices reshape to views, never copies)."""
-        self._q_flat = self.q.reshape(-1)
-        self._qmax_flat = self.qmax.reshape(-1)
-        self._qmax_action_flat = self.qmax_action.reshape(-1)
-        if self.momentum is not None:
-            self._momentum_flat = self.momentum.reshape(-1)
-        if self.target is not None:
-            self._target_flat = self.target.reshape(-1)
 
     # ------------------------------------------------------------------ #
     # One lock-step sample for every lane
@@ -463,7 +453,7 @@ class VectorizedFleetBackend:
     #
     # Per-lane ops on the same state arrays ``step`` advances.  A sharded
     # fleet's parent runs them on its own instance of the shard program,
-    # bound to the shared-memory rows, while the workers are idle.
+    # built on the shared-memory rows, while the workers are idle.
     # ------------------------------------------------------------------ #
 
     def _lane_draw(self, bank, k: int) -> int:
@@ -483,18 +473,10 @@ class VectorizedFleetBackend:
         to a fresh ``FunctionalSimulator`` built with
         ``PolicyDraws.from_config(config, salt=salt)``)."""
         check_lane(self, k)
-        for attr, _, _, init in self._lane_init:
-            getattr(self, attr)[k] = init
-        cfg = self.config
-        base = cfg.seed + int(salt) * 0x9E37
-        mask = (1 << cfg.lfsr_width) - 1
-        for bank, off in (
-            (self._bank_start, 0x11),
-            (self._bank_action, 0x22),
-            (self._bank_policy, 0x33),
-        ):
-            seed = (base + off) & mask
-            bank.states[k] = seed if seed else 1
+        row = {key: view[k : k + 1] for key, view in self._lane.items()}
+        for view in row.values():
+            view.fill(0)
+        self._layout.seed(row, [salt])
 
     def apply_transition(
         self,
@@ -659,61 +641,23 @@ class VectorizedFleetBackend:
     # Checkpointing (see repro.robustness.checkpoint)
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _lane_fields(config: QTAccelConfig, S: int, A: int) -> tuple:
-        """``(attribute, checkpoint key, per-lane shape, initial value)``
-        of every lane-state array under ``config``: the tables and
-        latches of every update rule, then the rule's extra tables
-        (momentum iterate; Polyak target table + sync counter).
-
-        Construction allocates them (the ``(attribute, key)`` pairs
-        become the instance's ``_STATE_ARRAYS``, the checkpoint
-        vocabulary), :meth:`reset_lane` re-initialises one row of each,
-        and the sharded backend lays its shared-memory block out from
-        them."""
-        q_init = config.q_format.quantize(config.q_init)
-        fields = [
-            ("q", "q", (S * A,), q_init),
-            ("qmax", "qmax", (S,), q_init),
-            ("qmax_action", "qmax_action", (S,), 0),
-            ("_arch_state", "arch_state", (), -1),
-            ("_forwarded", "forwarded", (), -1),
-            # Lag view of the most recent write (SARSA restart reads).
-            ("_prev_pair", "prev_pair", (), -1),
-            ("_prev_state", "prev_state", (), -1),
-            ("_prev_q", "prev_q", (), 0),
-            ("_prev_qmax", "prev_qmax", (), 0),
-            ("_prev_qmax_action", "prev_qmax_action", (), 0),
-        ]
-        kind = config.rule.kind
-        if kind == "momentum":
-            fields.append(("momentum", "momentum", (S * A,), q_init))
-        elif kind == "target":
-            fields.append(("target", "target", (S * A,), q_init))
-            fields.append(("_target_count", "target_count", (), 0))
-        return tuple(fields)
-
     def state_dict(self) -> dict:
         """Full fleet checkpoint: every lane vector plus the three LFSR
         banks and the aggregate stats.  Restoring and re-running replays
         the exact lock-step trajectory (the engine is deterministic)."""
-        state = {key: getattr(self, attr).copy() for attr, key in self._STATE_ARRAYS}
-        state["lfsr"] = {
-            "start": self._bank_start.states.copy(),
-            "action": self._bank_action.states.copy(),
-            "policy": self._bank_policy.states.copy(),
-        }
+        state = self._layout.pack({key: view.copy() for key, view in self._lane.items()})
         state["stats"] = vars(self.stats).copy()
         return state
 
-    def _check_loaded(self, state: dict, lane: bool) -> None:
+    def _check_loaded(self, state: dict, lane: bool) -> dict:
         """Reject a checkpoint (or, with ``lane``, a :meth:`lane_state`
         slice) that lacks a field (a scalar backend's payload, say), whose
         arrays are misshapen or whose index-bearing fields point outside
-        the tables, with a :class:`ValueError` naming the field.  Runs
-        before anything is written, so a rejected load leaves the fleet
-        untouched; the native kernel indexes with these latches
-        unchecked, so a corrupted checkpoint must stop here."""
+        the tables, with a :class:`ValueError` naming the field; returns
+        its fields by lane-state key.  Runs before anything is written, so
+        a rejected load leaves the fleet untouched; the native kernel
+        indexes with these latches unchecked, so a corrupted checkpoint
+        must stop here."""
         S, A = self.S, self.A
         lfsr = (1, 1 << self.config.lfsr_width)
         bounds = {
@@ -724,30 +668,23 @@ class VectorizedFleetBackend:
             "prev_qmax_action": (0, A),
             "prev_pair": (-1, S * A),
             "target_count": (0, None),
-            "lfsr.start": lfsr,
-            "lfsr.action": lfsr,
-            "lfsr.policy": lfsr,
+            **{f"lfsr_{b}": lfsr for b, _ in LFSR_STREAMS},
         }
-
-        checks = []
-        for attr, key in self._STATE_ARRAYS:
-            shape = getattr(self, attr).shape
-            checks.append((key, shape[1:] if lane else shape, checkpoint_field(state, key)))
-        banks = checkpoint_field(state, "lfsr")
-        for name in ("start", "action", "policy"):
-            value = checkpoint_field(banks, name, f"lfsr.{name}")
-            checks.append((f"lfsr.{name}", () if lane else (self.K,), value))
+        layout = self._layout
+        values = layout.unpack(state)
         if not lane:
             checkpoint_field(state, "stats")
-        for key, shape, value in checks:
+        for key, value in values.items():
+            name = layout.label(key)
+            shape = layout.shapes[key] if lane else (self.K, *layout.shapes[key])
             arr = np.asarray(value)
             if arr.shape != shape:
                 raise ValueError(
-                    f"checkpoint field {key!r}: shape {arr.shape}, expected {shape}"
+                    f"checkpoint field {name!r}: shape {arr.shape}, expected {shape}"
                 )
             if arr.dtype.kind not in "iu":
                 raise ValueError(
-                    f"checkpoint field {key!r}: dtype {arr.dtype}, expected integers"
+                    f"checkpoint field {name!r}: dtype {arr.dtype}, expected integers"
                 )
             if key not in bounds or not arr.size:
                 continue
@@ -755,19 +692,17 @@ class VectorizedFleetBackend:
             if arr.min() < lo or (hi is not None and arr.max() >= hi):
                 span = f"[{lo}, {hi})" if hi is not None else f">= {lo}"
                 raise ValueError(
-                    f"checkpoint field {key!r}: values in "
+                    f"checkpoint field {name!r}: values in "
                     f"[{arr.min()}, {arr.max()}], expected {span}"
                 )
+        return values
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` checkpoint in place (validated
         first; see :meth:`_check_loaded`)."""
-        self._check_loaded(state, lane=False)
-        for attr, key in self._STATE_ARRAYS:
-            getattr(self, attr)[:] = state[key]
-        self._bank_start.states[:] = state["lfsr"]["start"]
-        self._bank_action.states[:] = state["lfsr"]["action"]
-        self._bank_policy.states[:] = state["lfsr"]["policy"]
+        values = self._check_loaded(state, lane=False)
+        for key, view in self._lane.items():
+            view[:] = values[key]
         for key, value in state["stats"].items():
             setattr(self.stats, key, value)
 
@@ -776,27 +711,20 @@ class VectorizedFleetBackend:
         live), for per-lane rollback.  The live path copies only lane
         ``k``'s rows — O(S·A), not O(K·S·A) — which is what makes
         per-session checkpoints in :mod:`repro.serve` affordable."""
-        if state is None:
-            out = {key: getattr(self, attr)[k].copy() for attr, key in self._STATE_ARRAYS}
-            out["lfsr"] = {
-                "start": int(self._bank_start.states[k]),
-                "action": int(self._bank_action.states[k]),
-                "policy": int(self._bank_policy.states[k]),
-            }
-            return out
-        out = {key: state[key][k].copy() for _, key in self._STATE_ARRAYS}
-        out["lfsr"] = {name: int(bank[k]) for name, bank in state["lfsr"].items()}
-        return out
+        check_lane(self, k)
+        values = self._lane if state is None else self._layout.unpack(state)
+        # A latch's row is a fresh scalar already; a table's is a view.
+        return self._layout.pack(
+            {key: row.copy() if (row := values[key][k]).ndim else row for key in self._lane}
+        )
 
     def load_lane_state(self, k: int, lane: dict) -> None:
         """Restore one lane from a :meth:`lane_state` slice, leaving the
         other lanes (and the aggregate stats) untouched."""
-        self._check_loaded(lane, lane=True)
-        for attr, key in self._STATE_ARRAYS:
-            getattr(self, attr)[k] = lane[key]
-        self._bank_start.states[k] = lane["lfsr"]["start"]
-        self._bank_action.states[k] = lane["lfsr"]["action"]
-        self._bank_policy.states[k] = lane["lfsr"]["policy"]
+        check_lane(self, k)
+        values = self._check_loaded(lane, lane=True)
+        for key, view in self._lane.items():
+            view[k] = values[key]
 
     # ------------------------------------------------------------------ #
     # Views
@@ -804,6 +732,7 @@ class VectorizedFleetBackend:
 
     def q_float(self, agent: int) -> np.ndarray:
         """Lane ``agent``'s Q table as floats, ``(S, A)``."""
+        check_lane(self, agent)
         return ops.to_float_array(
             self.q[agent].reshape(self.S, self.A), self.config.q_format
         )

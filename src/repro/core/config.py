@@ -311,11 +311,6 @@ class QTAccelConfig:
         computes them (see :func:`repro.fixedpoint.ops.coefficient_set`)."""
         return ops.coefficient_set(self.alpha, self.gamma, self.coef_format)
 
-    def rule_coefficients(self):
-        """The configured rule's full raw coefficient set (a
-        :class:`~repro.algorithms.RuleCoefficients`)."""
-        return self.rule.coefficients(self)
-
     def with_(self, **changes) -> "QTAccelConfig":
         """Copy with some fields replaced."""
         return replace(self, **changes)

@@ -66,10 +66,6 @@ class Sample:
     #: target-table reads exactly like ``q_new`` is for the Q table.
     t_new: int = 0
 
-    def writes_pair(self) -> int:
-        """The Q-table address this sample will write at stage 4."""
-        return self.pair
-
 
 class ForwardingView:
     """Table reads overlaid with pending in-flight writes.

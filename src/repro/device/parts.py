@@ -42,10 +42,6 @@ class FpgaPart:
     def uram_bits(self) -> int:
         return self.uram * URAM288.capacity_bits
 
-    @property
-    def onchip_bits(self) -> int:
-        return self.bram_bits + self.uram_bits
-
 
 #: Xilinx Virtex UltraScale+ VU13P (the paper's evaluation device).
 XCVU13P = FpgaPart(

@@ -12,9 +12,10 @@ The robustness layer of the reproduction (see ``docs/robustness.md``):
 * :mod:`~repro.robustness.checkpoint` — engine checkpoints,
   :class:`FleetSupervisor` rollback/retry/quarantine, :class:`Watchdog`
   (the process-parallel
-  :class:`~repro.backends.sharded.ShardedFleetBackend` embeds a
-  :class:`CheckpointStore` and applies the same rollback/retry/
-  quarantine discipline to whole worker processes).
+  :class:`~repro.backends.sharded.ShardedFleetBackend` keeps its
+  recovery checkpoints as shadow copies of its shared lane state and
+  applies the same rollback/retry/quarantine discipline to whole worker
+  processes).
 
 Everything here is opt-in: engines built without these objects run the
 exact PR-1 hot loops (one ``None`` pointer test per hook site).

@@ -43,8 +43,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..fixedpoint.format import FxpFormat
-
 
 class CheckpointStore:
     """A bounded ring of ``(tag, state)`` snapshots, newest last.
@@ -388,18 +386,3 @@ class FleetSupervisor:
             "quarantined": len(self.quarantined),
             "completed": r.completed,
         }
-
-
-def range_health(fmt: FxpFormat) -> Callable[[object, int], bool]:
-    """A health predicate checking every Q word stays in ``fmt``'s raw
-    range (useful for ``wrap``-overflow ablations where corruption can
-    push words outside the format)."""
-
-    def check(lanes, k: int) -> bool:
-        if isinstance(lanes, BatchLanes):
-            q = lanes.sim.q[k]
-        else:
-            q = lanes.sims[k].tables.q.data
-        return bool(np.all((q >= fmt.raw_min) & (q <= fmt.raw_max)))
-
-    return check

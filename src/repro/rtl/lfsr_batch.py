@@ -26,11 +26,9 @@ class LfsrBank:
 
     All draw/step methods mutate ``states`` **in place** through two
     preallocated scratch vectors: the hot loop of the vectorized fleet
-    backend allocates nothing per step, and callers may rebind
-    ``states`` to any writable int64 view (e.g. a shared-memory slice,
-    as the sharded backend does) — the bank keeps advancing that exact
-    storage.  Scratch is (re)sized lazily on the first draw after a
-    rebind.
+    backend allocates nothing per step.  :meth:`over` builds a bank on
+    existing registers (a fleet's lane-state block) that it keeps
+    advancing in place.  Scratch is sized lazily on the first draw.
     """
 
     __slots__ = ("width", "mask", "states", "_t1", "_t2")
@@ -48,6 +46,14 @@ class LfsrBank:
         self._t1 = None
         self._t2 = None
 
+    @classmethod
+    def over(cls, width: int, states: np.ndarray) -> "LfsrBank":
+        """A bank stepping ``states`` in place: a writable int64 array of
+        registers already seeded (non-zero, ``width`` bits)."""
+        bank = cls(width, ())
+        bank.states = states
+        return bank
+
     def _scratch(self) -> tuple[np.ndarray, np.ndarray]:
         """The two scratch vectors, (re)allocated to match ``states``."""
         t1 = self._t1
@@ -55,12 +61,6 @@ class LfsrBank:
             self._t1 = t1 = np.empty_like(self.states)
             self._t2 = np.empty_like(self.states)
         return t1, self._t2
-
-    @classmethod
-    def from_scalar_seeds(cls, width: int, seeds) -> "LfsrBank":
-        """Bank whose lane k starts where ``Lfsr(width, seed=seeds[k])``
-        starts (the zero-seed remap applied identically)."""
-        return cls(width, seeds)
 
     @property
     def lanes(self) -> int:

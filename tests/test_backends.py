@@ -303,6 +303,42 @@ class TestCrossBackendLanePayloads:
         assert np.array_equal(scalar.q, before)
 
 
+class TestLaneIndexChecks:
+    """Every lane op checks its lane the way ``reset_lane`` does: a
+    negative, bool or out-of-range lane is a typed ``IndexError`` that
+    writes nothing, on every backend."""
+
+    @pytest.mark.parametrize("engine", ["vectorized", "native", "scalar", "sharded"])
+    def test_bad_lane_raises_and_writes_nothing(self, engine):
+        if engine == "native":
+            from repro.backends.native import _find_compiler
+
+            if _find_compiler() is None:
+                pytest.skip("no C compiler for the fused kernel")
+        kw = {"num_workers": 2, "mp_context": "fork"} if engine == "sharded" else {}
+        cfg = QTAccelConfig.qlearning(seed=4)
+        fleet = make_engine(cfg, engine=engine, mdps=GRID, num_agents=3, **kw)
+        try:
+            fleet.run(20)
+            lane, state = fleet.lane_state(0), fleet.state_dict()
+            before = fleet.q.copy()
+            for k in (-1, 3, 5, True):
+                with pytest.raises(IndexError, match=r"out of range 0\.\.2"):
+                    fleet.load_lane_state(k, lane)
+                with pytest.raises(IndexError, match=r"out of range 0\.\.2"):
+                    fleet.lane_state(k)
+                with pytest.raises(IndexError, match=r"out of range 0\.\.2"):
+                    fleet.lane_state(k, state)
+                with pytest.raises(IndexError, match=r"out of range 0\.\.2"):
+                    fleet.q_float(k)
+            assert np.array_equal(fleet.q, before)
+            fleet.load_lane_state(np.int64(2), lane)  # numpy integers are lanes
+            assert np.array_equal(fleet.q[2], before[0])
+            assert np.array_equal(fleet.q[:2], before[:2])
+        finally:
+            getattr(fleet, "close", lambda: None)()
+
+
 class TestRegistryAndDispatch:
     def test_stats_contract(self):
         cfg = QTAccelConfig.qlearning(seed=1)
@@ -534,8 +570,8 @@ class TestShardedDispatchAndLifecycle:
         spawned = []
         real_spawn = ShardedFleetBackend._spawn_worker
 
-        def spawn_then_stop_worker_1(self, w, *, adopt):
-            real_spawn(self, w, adopt=adopt)
+        def spawn_then_stop_worker_1(self, w):
+            real_spawn(self, w)
             spawned.append((self._procs[w], self._shm.name))
             if w == 1:
                 os.kill(self._procs[w].pid, signal.SIGSTOP)

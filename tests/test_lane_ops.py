@@ -142,6 +142,19 @@ def test_reset_lane_is_pristine_and_isolated():
         )
 
 
+@pytest.mark.parametrize("salt", [7, 2**50 + 3, -(2**40)])
+def test_lfsr_seeds_match_policy_draws(salt):
+    """A fleet seeds its LFSR registers in int64 arithmetic and
+    ``PolicyDraws`` in Python integers: a salt whose product wraps int64
+    still gives the same registers, at construction and at reset_lane."""
+    cfg = QTAccelConfig.sarsa(seed=5)
+    expected = PolicyDraws.from_config(cfg, salt=salt).state_dict()
+    fleet = VectorizedFleetBackend(WORLD, cfg, num_agents=2, salts=[0, salt])
+    assert fleet.lane_state(1)["lfsr"] == expected
+    fleet.reset_lane(0, salt)
+    assert fleet.lane_state(0)["lfsr"] == expected
+
+
 def test_greedy_query_consumes_no_draw():
     """explore=False is a pure table read: no LFSR advance, no journal need."""
     cfg = QTAccelConfig.qlearning(seed=2)

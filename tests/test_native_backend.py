@@ -652,6 +652,66 @@ class TestShardedKernel:
             _assert_equal_tree(snap, frozen)
 
 
+def _lane_arrays(program) -> list:
+    """Every lane-state array of a fleet program: its tables and latches,
+    then its three LFSR registers."""
+    from repro.backends.base import LFSR_STREAMS
+
+    arrays = [getattr(program, attr) for attr, _, _, _ in program._layout.tables]
+    return arrays + [getattr(program, f"_bank_{b}").states for b, _ in LFSR_STREAMS]
+
+
+class TestLaneStorage:
+    """A fleet program runs on the storage it was built on: a standalone
+    fleet's lane state is one block, and a sharded fleet's programs run on
+    the shared segment, seeded there by the parent."""
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_native_lane_state_is_one_block(self, rule):
+        fleet = NativeFleetBackend(GRID, _cfg(rule, seed=3), num_agents=5)
+        arrays = _lane_arrays(fleet)
+        block = fleet.q.base
+        assert isinstance(block, np.ndarray) and block.flags.owndata
+        assert all(a.base is block for a in arrays)
+        assert all(a.ctypes.data % 64 == 0 for a in arrays)  # one line each
+        ctx = dict(zip(native_mod._CTX_POINTERS, fleet._ctx.tolist()))
+        assert ctx["q"] == fleet.q.ctypes.data
+        assert ctx["s_policy"] == fleet._bank_policy.states.ctypes.data
+
+    def test_sharded_program_runs_on_the_segment(self):
+        with _shards(GRID, _cfg("target", seed=5), num_agents=5) as fleet:
+            seg = np.ndarray((fleet._layout.nbytes,), np.uint8, buffer=fleet._shm.buf)
+            try:
+                assert all(np.shares_memory(a, seg) for a in _lane_arrays(fleet._program))
+            finally:
+                del seg
+
+    def test_fresh_state_dict_matches_native(self):
+        cfg = _cfg("momentum", seed=73, q_init=-0.5)
+        salts = [5, 0, 21, 8]
+        with _shards(GRID, cfg, num_agents=4, salts=salts) as fleet:
+            _assert_same_state(fleet, NativeFleetBackend(GRID, cfg, num_agents=4, salts=salts))
+
+    @pytest.mark.parametrize("fault", ["kill_worker", "hang_worker"])
+    @pytest.mark.parametrize("rule", ["momentum", "target"])
+    def test_fault_before_first_run_recovers_seeded_rows(self, fault, rule):
+        """A worker lost before any epoch is restored from generation 0,
+        which the parent seeded with the live rows."""
+        kw = {"target_sync_period": 13} if rule == "target" else {}
+        cfg = _cfg(rule, seed=71, q_init=0.375, qmax_mode="follow", **kw)
+        salts = [9, 4, 17, 2, 11]
+        ref = NativeFleetBackend(GRID, cfg, num_agents=5, salts=salts)
+        with _shards(
+            GRID, cfg, num_agents=5, salts=salts, ping_timeout_s=0.5, hang_timeout_s=0.5
+        ) as fleet:
+            getattr(fleet, fault)(1)
+            assert fleet.check_workers() == [fleet.shard_bounds(1)]
+            fleet.run(90)
+            ref.run(90)
+            assert fleet.restarts == 1 and not fleet.quarantined_workers
+            _assert_same_state(fleet, ref)
+
+
 def _interleaved_ops(seed: int, lanes: int, world) -> list:
     """A seeded op stream: each round a learn batch, an act, a lane reset
     or copy, sometimes a fault on the learn lane's shard (2 workers), and
