@@ -29,12 +29,12 @@ rule kind, Qmax rule, policy pair, on-policy forwarding, per-lane worlds,
 overflow and rounding mode) and the LFSR decimation are ``-D`` constants,
 so the kernel tests none of them per sample.  There is no generic build.
 Each switch tuple compiles once (~0.15 s) into a shared object cached
-under ``$TMPDIR/qtaccel-native-<uid>/`` by the source hash plus the
-switches, and is loaded once per process; a later construction of a
-config reuses the loaded kernel without hashing, file-system work or
-compiling.  Without a compiler, construction raises
-:class:`NativeBackendUnavailableError`; the vectorized backend runs the
-same program everywhere.
+under ``$TMPDIR/qtaccel-native-<uid>/`` by the hash of the source, the
+compiler's path, its flags and the switches, and is loaded once per
+process; a later construction of a config reuses the loaded kernel
+without hashing, file-system work or compiling.  Without a compiler,
+construction raises :class:`NativeBackendUnavailableError`; the
+vectorized backend runs the same program everywhere.
 
 The stage-2/3/4 retire body (update-policy draw, wide accumulate, one
 round and clamp, write-back with the Qmax rule, rule tables, lag latches,
@@ -90,15 +90,17 @@ class NativeBackendUnavailableError(ImportError):
 
 
 def _find_compiler() -> str | None:
-    """The C compiler that builds the kernel, or None (looked up once per
-    ``$CC``/``$PATH`` pair, so a construction does no file-system work)."""
+    """The C compiler that builds the kernel, as a resolved path, or None
+    (looked up once per ``$CC``/``$PATH`` pair, so a construction does no
+    file-system work)."""
     return _which_compiler(os.environ.get("CC"), os.environ.get("PATH"))
 
 
 @functools.lru_cache(maxsize=8)
 def _which_compiler(cc: str | None, path: str | None) -> str | None:
-    if cc and shutil.which(cc, path=path):
-        return cc
+    found = shutil.which(cc, path=path) if cc else None
+    if found:
+        return found
     for name in ("cc", "gcc", "clang"):
         found = shutil.which(name, path=path)
         if found:
@@ -450,22 +452,29 @@ int64_t qtaccel_lane_transitions(const qt_ctx *ctx, int64_t k, int64_t n,
     ),
 )
 
-#: Loaded kernels, one per switch tuple: ``(fleet_steps, lane_transitions)``.
-_KERNELS: dict[tuple[int, ...], tuple] = {}
+#: Flags of every kernel build besides the ``-D`` switches.
+_CFLAGS = ("-O3", "-shared", "-fPIC")
+
+#: Loaded kernels, one per compiler and switch tuple:
+#: ``(fleet_steps, lane_transitions)``.
+_KERNELS: dict[tuple[str, tuple[int, ...]], tuple] = {}
 #: Serialises first-use builds and loads within this process.
 _BUILD_LOCK = threading.Lock()
 
 
 def _build_library(compiler: str, switches: tuple[int, ...]) -> str:
     """Compile the C kernel for one switch tuple into a shared object
-    cached on the source hash plus the switches; returns its path.
+    cached on the source, the compiler's path, its flags and the
+    switches (a sanitizing ``$CC`` wrapper, gcc and clang never share an
+    object); returns its path.
 
     Sources and objects are written under per-process names and the
     object is renamed into place, so concurrent builders of one variant
     never read each other's half-written files."""
     defines = [f"-DQT_{name.upper()}={v}" for name, v in zip(_SWITCHES, switches)]
     defines.append(f"-DQT_DEC={DECIMATION}")
-    digest = hashlib.sha1("\n".join([_C_SOURCE, *defines]).encode()).hexdigest()[:16]
+    key = "\n".join([_C_SOURCE, compiler, *_CFLAGS, *defines])
+    digest = hashlib.sha1(key.encode()).hexdigest()[:16]
     cache_dir = os.path.join(
         tempfile.gettempdir(), f"qtaccel-native-{os.getuid()}"
     )
@@ -478,7 +487,7 @@ def _build_library(compiler: str, switches: tuple[int, ...]) -> str:
             fh.write(_C_SOURCE)
         try:
             subprocess.run(
-                [compiler, "-O3", "-shared", "-fPIC", *defines, "-o", tmp_path, src_path],
+                [compiler, *_CFLAGS, *defines, "-o", tmp_path, src_path],
                 check=True,
                 capture_output=True,
                 text=True,
@@ -501,7 +510,8 @@ def _get_kernel(switches: tuple[int, ...]):
     compiler = _find_compiler()
     if compiler is None:
         raise NativeBackendUnavailableError(f"NativeFleetBackend: {_NO_COMPILER}")
-    kernel = _KERNELS.get(switches)
+    key = (compiler, switches)
+    kernel = _KERNELS.get(key)
     if kernel is not None:
         return kernel
     import ctypes
@@ -512,7 +522,7 @@ def _get_kernel(switches: tuple[int, ...]):
             "into int64 and needs a 64-bit platform"
         )
     with _BUILD_LOCK:
-        if switches not in _KERNELS:
+        if key not in _KERNELS:
             lib = ctypes.CDLL(_build_library(compiler, switches))
             steps = lib.qtaccel_fleet_steps
             steps.argtypes = (ctypes.c_void_p, ctypes.c_int64)
@@ -520,8 +530,8 @@ def _get_kernel(switches: tuple[int, ...]):
             lane = lib.qtaccel_lane_transitions
             lane.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
             lane.restype = ctypes.c_int64
-            _KERNELS[switches] = (steps, lane)
-    return _KERNELS[switches]
+            _KERNELS[key] = (steps, lane)
+    return _KERNELS[key]
 
 
 class NativeFleetBackend(VectorizedFleetBackend):

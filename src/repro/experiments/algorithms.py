@@ -1,4 +1,4 @@
-"""Accelerated update rules: convergence versus samples (ROADMAP item 2).
+"""Accelerated update rules: convergence versus samples.
 
 The update-rule API (:mod:`repro.algorithms`) adds two accelerated
 stage-3 variants to the paper's Q-Learning/SARSA pair: momentum-based

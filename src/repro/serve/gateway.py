@@ -9,12 +9,26 @@ and serves it over two listeners:
   OpenMetrics rendering of the attached telemetry registry and
   ``GET /healthz`` with a liveness probe — the observability plane.
 
-Backend lane operations are parent-side numpy work measured in
-microseconds, so they run directly on the event loop; the gateway's
-concurrency problem is admission, not compute.  Admission is a
-queue-with-timeout: when every lane is leased, an ``open`` waits on an
-:class:`asyncio.Condition` that session closes notify, and is refused
-with ``at_capacity`` after ``admission_timeout_s``.
+The data plane is one small :class:`asyncio.Protocol` per connection,
+not a stream reader/writer pair.  Backend lane operations take
+microseconds (one kernel call on ``native``), so the transport, not the
+sample, is the cost to cut: the protocol finds complete lines in
+``data_received`` and serves each one synchronously — decode, apply,
+encode and ``transport.write`` in one event-loop callback, with no
+future, task or coroutine.  Only two kinds of request wait, and only
+those run as a task: an ``open`` queued for a lane, and any reply while
+the ``response_delay_s`` chaos hook is set.  While one is in flight the
+connection stops reading and holds the lines it already received, so
+replies on one connection stay strictly in request order.
+Back-pressure is the transport's own: when a peer stops reading its
+replies and the write buffer passes its high-water mark, that
+connection stops reading requests until the buffer drains, so a slow
+peer stalls only itself.
+
+Admission is a queue-with-timeout: when every lane is leased, an
+``open`` waits on a future that session closes (and orphan expiries)
+resolve, and is refused with ``at_capacity`` after
+``admission_timeout_s``.
 
 A background maintenance task probes worker health every
 ``maintenance_interval_s`` (via ``SessionManager.maintenance()``, which
@@ -40,6 +54,8 @@ clean typed errors, never silence):
   forbidden/unknown sessions) further requests are refused with
   ``throttled`` until ``breaker_cooldown_s`` passes, capping the cost
   of a misbehaving or byte-garbling peer;
+* a request line longer than :data:`~repro.serve.protocol.MAX_LINE`
+  closes that connection only;
 * ``response_delay_s`` (chaos hook) injects latency in front of every
   response so client timeout/retry paths can be exercised end-to-end.
 
@@ -61,7 +77,7 @@ import itertools
 import logging
 import threading
 import time
-from typing import Optional
+from typing import Awaitable, Optional, Union
 
 from . import protocol
 from .protocol import ProtocolError
@@ -113,6 +129,156 @@ class _Breaker:
         return False
 
 
+async def _reply_later(reply: Union[dict, Awaitable[dict]], delay: float) -> dict:
+    """Finish a reply that waits: a queued ``open``, the chaos delay, or both."""
+    if not isinstance(reply, dict):
+        reply = await reply
+    if delay > 0:
+        await asyncio.sleep(delay)
+    return reply
+
+
+class _Connection(asyncio.Protocol):
+    """One data-plane connection: frames NDJSON lines and serves them in
+    order, synchronously unless a request has to wait."""
+
+    def __init__(self, gateway: "Gateway"):
+        self._gateway = gateway
+        self.conn_id = next(gateway._conn_ids)
+        self._breaker = _Breaker(gateway.breaker_threshold, gateway.breaker_cooldown_s)
+        self.transport: Optional[asyncio.Transport] = None
+        #: Bytes received and not yet served; the newline search resumes
+        #: at ``_scan`` so a long line is never rescanned per chunk.
+        self._buf = bytearray()
+        self._scan = 0
+        #: The request in flight as a task; lines behind it wait in ``_buf``.
+        self._task: Optional[asyncio.Task] = None
+        self._write_paused = False
+        self._eof = False
+        self._lost = False
+
+    # -- transport callbacks --------------------------------------------- #
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._gateway._conns.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._buf += data
+        if self._task is None and not self._write_paused:
+            self._serve_buffered()
+
+    def eof_received(self) -> bool:
+        # Half-close: answer what was already sent, then close; True
+        # keeps the write side open.  A last line without its newline is
+        # served too, as a stream ``readline`` returns it.
+        self._eof = True
+        if self._buf and not self._buf.endswith(b"\n"):
+            self._buf += b"\n"
+        if self._task is None and not self._write_paused:
+            self._serve_buffered()
+        return True
+
+    def pause_writing(self) -> None:
+        # The peer is not reading its replies: stop reading its requests.
+        self._write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._resume()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._lost = True
+        if self._task is not None:
+            self._task.cancel()
+        gateway = self._gateway
+        gateway._conns.discard(self)
+        # Orphan (don't close) this connection's sessions: the lane
+        # lingers for session_linger_s so a token-bearing reconnect can
+        # adopt it; the maintenance loop expires the rest.
+        orphaned = gateway.manager.orphan_owned(self.conn_id)
+        if orphaned:
+            log.info(
+                "connection %d dropped; orphaned session(s): %s",
+                self.conn_id,
+                orphaned,
+            )
+
+    # -- framing and ordering -------------------------------------------- #
+
+    def _serve_buffered(self) -> None:
+        """Serve the complete lines in the buffer, in order, until one
+        has to wait (a task in flight or a full write buffer)."""
+        buf = self._buf
+        start = 0
+        scan = self._scan
+        while True:
+            end = buf.find(b"\n", scan)
+            if end < 0:
+                scan = len(buf)
+                if scan - start > protocol.MAX_LINE:
+                    self._oversized()
+                    return
+                break
+            if end - start > protocol.MAX_LINE:
+                self._oversized()
+                return
+            line = buf[start:end]
+            start = scan = end + 1
+            self._serve(line)
+            if self._task is not None or self._write_paused or self._lost:
+                break
+        if start:
+            del buf[:start]
+            scan -= start
+        self._scan = scan
+        if self._eof and self._task is None and not self._write_paused:
+            self.transport.close()
+
+    def _oversized(self) -> None:
+        log.warning(
+            "connection %d sent a line over %d bytes; closing it",
+            self.conn_id,
+            protocol.MAX_LINE,
+        )
+        self._buf.clear()
+        self.transport.close()
+
+    def _serve(self, line: bytes) -> None:
+        gateway = self._gateway
+        reply = gateway._dispatch(line, self.conn_id, self._breaker)
+        delay = gateway.response_delay_s
+        if delay <= 0 and type(reply) is dict:
+            self.transport.write(protocol.encode(reply))
+            return
+        # A request that waits: stop reading and hold the lines already
+        # received until its reply is written.
+        self.transport.pause_reading()
+        self._task = task = asyncio.ensure_future(_reply_later(reply, delay))
+        task.add_done_callback(self._reply_ready)
+
+    def _reply_ready(self, task: asyncio.Task) -> None:
+        self._task = None
+        if task.cancelled():
+            return
+        exc = task.exception()
+        if exc is not None:  # pragma: no cover - _dispatch answers every error
+            log.error("connection %d: reply task failed: %r", self.conn_id, exc)
+            self.transport.close()
+        elif not self._lost:
+            self.transport.write(protocol.encode(task.result()))
+            self._resume()
+
+    def _resume(self) -> None:
+        """Serve the lines held while blocked, then read again."""
+        if self._task is not None or self._write_paused or self._lost:
+            return
+        self._serve_buffered()
+        if self._task is None and not self._write_paused:
+            self.transport.resume_reading()
+
+
 class Gateway:
     """Serve a :class:`SessionManager` over NDJSON TCP (+ HTTP metrics)."""
 
@@ -146,8 +312,10 @@ class Gateway:
         self._server: Optional[asyncio.base_events.Server] = None
         self._http_server: Optional[asyncio.base_events.Server] = None
         self._maintenance: Optional[asyncio.Task] = None
-        self._admission: Optional[asyncio.Condition] = None
+        #: Futures of the opens waiting for a lane; a close resolves them.
+        self._lane_waiters: set[asyncio.Future] = set()
         self._admission_waiters = 0
+        self._conns: set[_Connection] = set()
         self._conn_ids = itertools.count(1)
         self._closing = False
         #: Optional :class:`repro.telemetry.tracing.Tracer` (per-request
@@ -169,9 +337,9 @@ class Gateway:
 
     async def start(self) -> None:
         """Bind the listeners (resolving port 0) and start maintenance."""
-        self._admission = asyncio.Condition()
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port, limit=protocol.MAX_LINE
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.http_port is not None:
@@ -189,22 +357,29 @@ class Gateway:
         )
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled; the caller then awaits :meth:`close`."""
         if self._server is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def close(self) -> None:
-        """Graceful shutdown: stop accepting, close sessions + backend."""
+        """Graceful shutdown: stop accepting, drop live connections, close
+        sessions + backend."""
         self._closing = True
         if self._maintenance is not None:
             self._maintenance.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._maintenance
-        for server in (self._server, self._http_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        servers = [s for s in (self._server, self._http_server) if s is not None]
+        for server in servers:
+            server.close()
+        # Abort, not close: a peer that stopped reading would hold a
+        # flushing close open forever, and Server.wait_closed waits for
+        # every connection (Python 3.12+).
+        for conn in list(self._conns):
+            conn.transport.abort()
+        for server in servers:
+            await server.wait_closed()
         self.manager.close_all()
         backend_close = getattr(self.manager.backend, "close", None)
         if backend_close is not None:
@@ -229,7 +404,7 @@ class Gateway:
                 if expired:
                     log.info("expired %d orphaned session(s): %s", len(expired), expired)
                     self._event("orphans_expired", sessions=expired)
-                    await self._notify_admission()
+                    self._notify_admission()
             except Exception:  # pragma: no cover - defensive
                 log.exception("maintenance probe failed")
             telemetry = self.manager._telemetry
@@ -237,55 +412,28 @@ class Gateway:
                 telemetry.pulse()
 
     # ------------------------------------------------------------------ #
-    # TCP data plane
+    # TCP data plane (framing and ordering live in _Connection)
     # ------------------------------------------------------------------ #
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn_id = next(self._conn_ids)
-        breaker = _Breaker(self.breaker_threshold, self.breaker_cooldown_s)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, ConnectionError):
-                    break  # oversized frame or peer reset
-                if not line:
-                    break
-                response = await self._dispatch(line, conn_id, breaker)
-                if self.response_delay_s > 0:
-                    await asyncio.sleep(self.response_delay_s)
-                writer.write(protocol.encode(response))
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    break
-        finally:
-            # Orphan (don't close) this connection's sessions: the lane
-            # lingers for session_linger_s so a token-bearing reconnect
-            # can adopt it; the maintenance loop expires the rest.
-            orphaned = self.manager.orphan_owned(conn_id)
-            if orphaned:
-                log.info(
-                    "connection %d dropped; orphaned session(s): %s",
-                    conn_id,
-                    orphaned,
-                )
-            writer.close()
-            with contextlib.suppress(ConnectionError):
-                await writer.wait_closed()
+    def _dispatch(
+        self, line: bytes, conn_id: int, breaker: _Breaker
+    ) -> Union[dict, Awaitable[dict]]:
+        """Serve one request line synchronously and return its reply.
 
-    async def _dispatch(self, line: bytes, conn_id: int, breaker: _Breaker) -> dict:
+        The one exception is an ``open`` that has to queue for a lane:
+        for it this returns a coroutine that finishes the request, which
+        the connection runs as a task.
+        """
         req: dict = {}
         code: Optional[str] = None
         op = None
         tenant: Optional[str] = None
+        queued = None
         t0 = time.perf_counter()
         try:
             req = protocol.decode(line)
             op = req.get("op")
-            if op not in protocol.OPS:
+            if type(op) is not str or op not in protocol.OPS:
                 raise ProtocolError(
                     protocol.E_BAD_REQUEST, f"unknown op {op!r}"
                 )
@@ -302,35 +450,93 @@ class Gateway:
                     req=req,
                     retry_after=cooldown,
                 )
-            if self._tracer is None:
-                return await self._handle_op(op, req, conn_id, tenant)
-            ctx = protocol.parse_trace(req)
-            if ctx is None and op in protocol.SAMPLED_OPS:
-                # Hot ops follow the client's head-sampling decision:
-                # no incoming context means this request was not
-                # sampled, so the server does not trace it either.
-                return await self._handle_op(op, req, conn_id, tenant)
-            # The server-side span of this request, parented under the
-            # client's span when the request carries a `trace` field.
-            with self._tracer.span(_SPAN_NAMES[op], parent=ctx) as span:
-                span.set("conn", conn_id)
-                return await self._handle_op(op, req, conn_id, tenant)
-        except ProtocolError as exc:
-            code = exc.code
-            return protocol.error(
+            if (
+                op == "open"
+                and not self.manager.has_capacity()
+                and self._admission_waiters < self.max_admission_queue
+            ):
+                queued = self._queued_open(req, conn_id, tenant, breaker, t0)
+                return queued
+            if self._tracer is None or (
+                "trace" not in req and op in protocol.SAMPLED_OPS
+            ):
+                # Hot ops follow the client's head-sampling decision: no
+                # incoming context means this request was not sampled, so
+                # the server does not trace it either.
+                return self._handle_op(op, req, conn_id, tenant)
+            with self._request_span(op, req, conn_id):
+                return self._handle_op(op, req, conn_id, tenant)
+        except Exception as exc:
+            code, reply = self._refusal(exc, req)
+            return reply
+        finally:
+            if queued is None:
+                self._account(breaker, code, conn_id, op, tenant, t0)
+
+    async def _queued_open(
+        self,
+        req: dict,
+        conn_id: int,
+        tenant: Optional[str],
+        breaker: _Breaker,
+        t0: float,
+    ) -> dict:
+        """Serve an ``open`` that waits in the admission queue."""
+        code: Optional[str] = None
+        try:
+            with self._request_span("open", req, conn_id):
+                deadline = protocol.parse_deadline(req, now=time.monotonic())
+                await self._wait_for_lane(deadline, tenant)
+                return self._handle_op("open", req, conn_id, tenant)
+        except Exception as exc:
+            code, reply = self._refusal(exc, req)
+            return reply
+        finally:
+            self._account(breaker, code, conn_id, "open", tenant, t0)
+
+    @staticmethod
+    def _refusal(exc: Exception, req: dict) -> tuple[str, dict]:
+        """The error code and reply for an exception raised serving ``req``."""
+        if isinstance(exc, ProtocolError):
+            return exc.code, protocol.error(
                 exc.code, exc.detail, req=req, retry_after=exc.retry_after
             )
-        except Exception as exc:  # pragma: no cover - defensive
-            code = protocol.E_INTERNAL
-            log.exception("internal error serving %r", req.get("op"))
-            return protocol.error(protocol.E_INTERNAL, str(exc), req=req)
-        finally:
-            if breaker.record(code, time.monotonic()):
-                self._event("breaker_trip", conn=conn_id, tenant=tenant)
-            if self._slo is not None and op in protocol.OPS:
-                self._slo.observe(tenant, op, (time.perf_counter() - t0) * 1e3)
-                if code is not None:
-                    self._slo.error(tenant, code)
+        # A bug in a handler answers `internal` instead of dropping the
+        # connection.
+        log.exception("internal error serving %r", req.get("op"))
+        return protocol.E_INTERNAL, protocol.error(
+            protocol.E_INTERNAL, str(exc), req=req
+        )
+
+    def _account(
+        self,
+        breaker: _Breaker,
+        code: Optional[str],
+        conn_id: int,
+        op,
+        tenant: Optional[str],
+        t0: float,
+    ) -> None:
+        """Feed one reply to the breaker and the tenant's SLO instruments."""
+        if breaker.record(code, time.monotonic()):
+            self._event("breaker_trip", conn=conn_id, tenant=tenant)
+        if self._slo is not None and type(op) is str and op in protocol.OPS:
+            self._slo.observe(tenant, op, (time.perf_counter() - t0) * 1e3)
+            if code is not None:
+                self._slo.error(tenant, code)
+
+    def _request_span(self, op: str, req: dict, conn_id: int):
+        """The request's ``server.<op>`` span, or a no-op context."""
+        if self._tracer is None:
+            return _NOSPAN
+        ctx = protocol.parse_trace(req)
+        if ctx is None and op in protocol.SAMPLED_OPS:
+            return _NOSPAN  # a malformed context: not sampled either
+        # Parented under the client's span when the request carries a
+        # `trace` field.
+        span = self._tracer.span(_SPAN_NAMES[op], parent=ctx)
+        span.set("conn", conn_id)
+        return span
 
     def _tenant_for(self, op: str, req: dict) -> Optional[str]:
         """Resolve the tenant a request bills to (None -> ``anon``)."""
@@ -354,7 +560,7 @@ class Gateway:
             except Exception:  # pragma: no cover - recorder is best-effort
                 pass
 
-    async def _handle_op(
+    def _handle_op(
         self, op: str, req: dict, conn_id: int, tenant: Optional[str] = None
     ) -> dict:
         manager = self.manager
@@ -366,7 +572,7 @@ class Gateway:
             info["protocol"] = protocol.PROTOCOL
             return protocol.ok(info, req=req)
         if op == "open":
-            rec = await self._admit(conn_id, deadline, tenant)
+            rec = self._admit(conn_id, tenant)
             return protocol.ok(
                 {
                     "session": rec.sid,
@@ -408,7 +614,9 @@ class Gateway:
         S, A = manager.backend.S, manager.backend.A
 
         # NOTE: no awaits between seq_check above and seq_record below —
-        # the apply-and-record step is atomic on the event loop.
+        # the apply-and-record step is atomic on the event loop (every
+        # lane op is served synchronously; only the admission wait of an
+        # `open` awaits, and it is not a session op).
         reply: Optional[dict] = None
         if op == "learn":
             if "batch" in req:
@@ -453,7 +661,7 @@ class Gateway:
         elif op == "close":
             manager.close(sid)
             reply = protocol.ok({"closed": sid}, req=req)
-            await self._notify_admission()
+            self._notify_admission()
             return reply
         if reply is None:
             raise ProtocolError(protocol.E_BAD_REQUEST, f"unhandled op {op!r}")
@@ -461,43 +669,55 @@ class Gateway:
             manager.seq_record(sid, seq, reply)
         return reply
 
-    async def _admit(
-        self,
-        conn_id: Optional[int],
-        deadline: Optional[float] = None,
-        tenant: Optional[str] = None,
-    ):
-        """Open a session, waiting up to ``admission_timeout_s`` for a lane.
+    def _admit(self, conn_id: Optional[int], tenant: Optional[str] = None):
+        """Open a session on a free lane, or shed the ``open``.
 
-        The wait queue is bounded: beyond ``max_admission_queue``
-        concurrent waiters, opens are shed immediately (``at_capacity``
-        with a computed ``retry_after``) instead of stacking up.  A
-        request deadline tightens the wait budget.
+        :meth:`_dispatch` queues an ``open`` that finds no free lane
+        while the admission queue has room, so reaching here without
+        capacity means the queue is full (``max_admission_queue``
+        waiters): the open is shed at once with ``at_capacity`` and a
+        computed ``retry_after`` instead of stacking up.
         """
         manager = self.manager
         if manager.has_capacity():
             return manager.open(owner=conn_id, tenant=tenant)
-        if self._admission_waiters >= self.max_admission_queue:
-            manager.note_shed(tenant)
-            raise ProtocolError(
-                protocol.E_AT_CAPACITY,
-                f"admission queue full ({self._admission_waiters} waiters); "
-                "request shed",
-                retry_after=manager.retry_after_hint(self._admission_waiters),
-            )
+        manager.note_shed(tenant)
+        raise ProtocolError(
+            protocol.E_AT_CAPACITY,
+            f"admission queue full ({self._admission_waiters} waiters); "
+            "request shed",
+            retry_after=manager.retry_after_hint(self._admission_waiters),
+        )
+
+    async def _wait_for_lane(
+        self, deadline: Optional[float] = None, tenant: Optional[str] = None
+    ) -> None:
+        """Wait in the admission queue until a lane is free, for at most
+        ``admission_timeout_s`` (a request deadline tightens the budget);
+        refuses with ``at_capacity`` when none frees in time."""
+        manager = self.manager
         timeout = self.admission_timeout_s
         if deadline is not None:
             timeout = min(timeout, max(0.0, deadline - time.monotonic()))
+        loop = asyncio.get_running_loop()
+        give_up = loop.time() + timeout
         self._admission_waiters += 1
         try:
             # The queueing wait gets its own span so a merged trace
             # shows admission time distinct from lane execution.
             with self._span("server.admit", tenant=tenant):
-                async with self._admission:
-                    await asyncio.wait_for(
-                        self._admission.wait_for(manager.has_capacity),
-                        timeout=timeout,
-                    )
+                # Every wake-up re-checks: another connection's open may
+                # take the freed lane before this task resumes.
+                while not manager.has_capacity():
+                    remaining = give_up - loop.time()
+                    if remaining <= 0:
+                        raise asyncio.TimeoutError
+                    waiter = loop.create_future()
+                    self._lane_waiters.add(waiter)
+                    try:
+                        await asyncio.wait_for(waiter, remaining)
+                    finally:
+                        self._lane_waiters.discard(waiter)
         except asyncio.TimeoutError:
             manager.note_rejected(tenant)
             raise ProtocolError(
@@ -507,13 +727,12 @@ class Gateway:
             ) from None
         finally:
             self._admission_waiters -= 1
-        return manager.open(owner=conn_id, tenant=tenant)
 
-    async def _notify_admission(self) -> None:
-        if self._admission is None:
-            return
-        async with self._admission:
-            self._admission.notify_all()
+    def _notify_admission(self) -> None:
+        """Wake every queued ``open``: a lane may be free."""
+        for waiter in self._lane_waiters:
+            if not waiter.done():
+                waiter.set_result(None)
 
     # ------------------------------------------------------------------ #
     # HTTP observability plane

@@ -159,9 +159,14 @@ class ProtocolError(Exception):
         self.retry_after = retry_after
 
 
+#: One compact encoder for every frame: ``json.dumps`` with non-default
+#: separators would build a fresh encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode(message: dict) -> bytes:
     """One wire frame: compact JSON + newline."""
-    return json.dumps(message, separators=(",", ":")).encode() + b"\n"
+    return (_ENCODER.encode(message) + "\n").encode()
 
 
 def decode(line: bytes) -> dict:

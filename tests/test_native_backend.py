@@ -365,6 +365,31 @@ class TestKernelVariants:
         fleet.run(10)
         assert native_mod._KERNELS == loaded
 
+    def test_cache_is_keyed_on_the_compiler(self, tmp_path, monkeypatch):
+        """Two compiler paths (say a sanitizing ``$CC`` wrapper and the
+        plain compiler) build two cached objects and load two kernels."""
+        import tempfile
+
+        real = native_mod._find_compiler()
+        wrappers = []
+        for name in ("cc-one", "cc-two"):
+            path = tmp_path / name
+            path.write_text(f'#!/bin/sh\nexec "{real}" "$@"\n')
+            path.chmod(0o755)
+            wrappers.append(str(path))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        monkeypatch.setattr(native_mod, "_KERNELS", {})
+        switches = native_mod._switches(QTAccelConfig.qlearning(seed=1), het=False)
+        kernels = []
+        for cc in wrappers:
+            monkeypatch.setenv("CC", cc)
+            assert native_mod._find_compiler() == cc
+            kernels.append(native_mod._get_kernel(switches))
+        cached = sorted((tmp_path / "tmp").glob("qtaccel-native-*/*.so"))
+        assert len(cached) == 2
+        assert kernels[0][0] is not kernels[1][0]
+        assert set(native_mod._KERNELS) == {(cc, switches) for cc in wrappers}
+
     def test_concurrent_first_builds_both_load(self, tmp_path):
         """Two processes building one fresh variant at once (an empty
         cache) both load a working kernel: neither compiles or loads the

@@ -18,6 +18,9 @@ Coverage, bottom up:
 * the asyncio gateway end to end over real sockets, on the vectorized
   *and* sharded backends (the acceptance bit-identity claim), plus
   admission queue-with-timeout behaviour and wire-level error codes;
+* wire framing: pipelined and byte-at-a-time requests, oversized lines,
+  reply order around requests that wait, and back-pressure from a peer
+  that does not read;
 * the SIGTERM leak regression for the sharded backend's signal hooks;
 * the serve throughput bench record round-tripping through a snapshot
   and the regression sentinel.
@@ -26,6 +29,7 @@ Coverage, bottom up:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import random
@@ -56,6 +60,7 @@ from repro.serve.protocol import (
     E_BAD_REQUEST,
     E_NO_SESSION,
     MAX_BATCH,
+    MAX_LINE,
     decode,
     encode,
     error,
@@ -694,6 +699,8 @@ class TestGateway:
             assert unknown["error"] == "bad_request" and unknown["id"] == 42
             echoed = roundtrip(b'{"op":"ping","id":"tag-1"}\n')
             assert echoed["ok"] and echoed["id"] == "tag-1"
+            unhashable = roundtrip(b'{"op":["open"]}\n')
+            assert unhashable["error"] == "bad_request"
 
     def test_unknown_optional_fields_tolerated(self, served):
         """`/2` peers must IGNORE unknown optional fields, not reject them.
@@ -773,6 +780,151 @@ class TestGateway:
         while manager.open_sessions and time.monotonic() < deadline:
             time.sleep(0.01)
         assert manager.open_sessions == 0
+
+    # -- wire framing and reply order -------------------------------- #
+
+    @staticmethod
+    def _replies(rfile, n: int) -> list:
+        return [json.loads(rfile.readline()) for _ in range(n)]
+
+    def test_pipelined_requests_reply_in_order(self, served):
+        gateway, _ = served
+        with socket.create_connection(("127.0.0.1", gateway.port), timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(b'{"op":"open","id":0}\n')
+            sid = self._replies(rfile, 1)[0]["session"].encode()
+            burst = b"".join(
+                [b'{"op":"ping","id":1}\n', b"garbage\n"]
+                + [
+                    b'{"op":"learn","session":"%s","id":%d,"seq":%d,'
+                    b'"s":1,"a":2,"r":0.5,"ns":3}\n' % (sid, i, i)
+                    for i in range(2, 40)
+                ]
+                + [b'{"op":"stats","session":"%s","id":40}\n' % sid]
+            )
+            sock.sendall(burst)
+            replies = self._replies(rfile, 41)
+        assert [r.get("id") for r in replies] == [1, None, *range(2, 41)]
+        assert replies[1]["error"] == "bad_request"
+        assert all(r["ok"] for i, r in enumerate(replies) if i != 1)
+        assert replies[-1]["samples"] == 38
+
+    def test_request_sent_one_byte_at_a_time(self, served):
+        gateway, _ = served
+        with socket.create_connection(("127.0.0.1", gateway.port), timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in b'{"op":"ping","id":"slow"}\n':
+                sock.sendall(bytes([byte]))
+                time.sleep(0.001)
+            assert self._replies(sock.makefile("rb"), 1) == [{"ok": True, "pong": True, "id": "slow"}]
+
+    def test_half_close_answers_the_last_line(self, served):
+        """A last request without a newline is answered at EOF, as a
+        stream ``readline`` returns it."""
+        gateway, _ = served
+        with socket.create_connection(("127.0.0.1", gateway.port), timeout=10) as sock:
+            sock.sendall(b'{"op":"ping","id":1}\n{"op":"ping","id":2}')
+            sock.shutdown(socket.SHUT_WR)
+            rfile = sock.makefile("rb")
+            assert [json.loads(line)["id"] for line in rfile] == [1, 2]
+
+    def test_oversized_line_closes_only_that_connection(self, served):
+        gateway, _ = served
+        with ServeClient(port=gateway.port) as bystander:
+            sess = bystander.open_session()
+            with socket.create_connection(("127.0.0.1", gateway.port), timeout=10) as sock:
+                with pytest.raises(OSError):
+                    # Closed by the gateway: the send or the read fails,
+                    # or the read sees EOF.
+                    sock.sendall(b'{"op":"ping","pad":"' + b"x" * MAX_LINE + b'"}\n')
+                    if not sock.recv(1):
+                        raise ConnectionResetError("EOF")
+            assert bystander.ping()
+            sess.learn(1, 2, 0.5, 3)
+            assert sess.stats()["samples"] == 1
+
+    def test_queued_open_keeps_replies_in_order(self, served):
+        """A ping behind an ``open`` waiting for a lane is answered after
+        the open, once a lane frees."""
+        gateway, _ = served
+        gateway.admission_timeout_s = 5.0
+        with ServeClient(port=gateway.port) as holder:
+            held = [holder.open_session(), holder.open_session()]
+            with socket.create_connection(("127.0.0.1", gateway.port), timeout=10) as sock:
+                sock.sendall(b'{"op":"open","id":1}\n{"op":"ping","id":2}\n')
+                sock.settimeout(0.2)
+                with pytest.raises(socket.timeout):
+                    sock.recv(1)  # both wait behind the queued open
+                sock.settimeout(10)
+                held.pop().close()
+                opened, pong = self._replies(sock.makefile("rb"), 2)
+        assert opened["id"] == 1 and opened["ok"] and opened["session"]
+        assert pong == {"ok": True, "pong": True, "id": 2}
+
+    def test_response_delay_keeps_replies_in_order(self, served):
+        gateway, _ = served
+        gateway.response_delay_s = 0.01
+        try:
+            with socket.create_connection(("127.0.0.1", gateway.port), timeout=10) as sock:
+                sock.sendall(
+                    b"".join(b'{"op":"ping","id":%d}\n' % i for i in range(8))
+                    + b'{"op":"open","id":8}\n{"op":"server","id":9}\n'
+                )
+                replies = self._replies(sock.makefile("rb"), 10)
+        finally:
+            gateway.response_delay_s = 0.0
+        assert [r["id"] for r in replies] == list(range(10))
+        assert all(r["ok"] for r in replies)
+
+    def test_unread_replies_bound_the_write_buffer(self, served):
+        """A peer that sends requests and reads no replies stalls only
+        itself: the gateway stops reading it, its write buffer stays at
+        the transport's high-water mark, and other peers are served."""
+        gateway, _ = served
+        loop = gateway._server.get_loop()
+
+        def buffers() -> list:
+            async def probe():
+                return [
+                    (c.transport.get_write_buffer_size(), c.transport.is_reading())
+                    for c in gateway._conns
+                ]
+
+            return asyncio.run_coroutine_threadsafe(probe(), loop).result(timeout=10)
+
+        hog = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        hog.settimeout(30)
+        hog.connect(("127.0.0.1", gateway.port))
+        hog.sendall(b'{"op":"open"}\n')
+        sid = self._replies(hog.makefile("rb"), 1)[0]["session"].encode()
+        flood = b'{"op":"table","session":"%s"}\n' % sid * 200_000
+
+        def send_flood():
+            with contextlib.suppress(OSError):
+                hog.sendall(flood)
+
+        sender = threading.Thread(target=send_flood, daemon=True)
+        sender.start()
+        try:
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                stalled = [size for size, reading in buffers() if not reading]
+                if stalled:
+                    break
+                time.sleep(0.05)
+            assert stalled, "the gateway never stopped reading the flooding peer"
+            # One reply past the high-water mark at most.
+            high = 64 * 1024
+            assert max(size for size, _ in buffers()) <= high + 4096
+            with ServeClient(port=gateway.port) as other:
+                assert other.ping()
+                assert len(other.open_session().table()) == S * A
+            assert max(size for size, _ in buffers()) <= high + 4096
+        finally:
+            hog.shutdown(socket.SHUT_RDWR)
+            hog.close()
+            sender.join(timeout=10)
 
 
 # ---------------------------------------------------------------------- #
